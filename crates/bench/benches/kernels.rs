@@ -15,12 +15,11 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use slimpipe_tensor::attention::{
-    backward_chunked, forward_chunked, forward_full, merge_partials, partial, with_attn_kernel,
-    AttnKernel, HeadCfg,
+    backward_chunked, forward_chunked, forward_full, merge_partials, partial, HeadCfg,
 };
 use slimpipe_tensor::crossentropy::{combine_stats, forward_backward, shard_stats};
 use slimpipe_tensor::init::{seeded_tokens, seeded_uniform};
-use slimpipe_tensor::matmul::{matmul, matmul_fused, matmul_fused_acc, matmul_nt, matmul_tn, PackedMat};
+use slimpipe_tensor::matmul::{matmul, matmul_fused, matmul_nt, matmul_tn, PackedMat};
 use slimpipe_tensor::{pool, rmsnorm, swiglu, Epilogue, PackedWeight, Prologue, Tensor};
 use std::hint::black_box;
 
@@ -236,10 +235,8 @@ fn bench_attention(c: &mut Criterion) {
     g.finish();
 }
 
-/// Scalar vs. GEMM attention kernel regimes at a realistic head shape
-/// (8 heads × 64-dim, GQA `n_kv = 2`), chunked forward and backward at
-/// seq 512 and 2048 — what routing the score/value matrix products
-/// through the blocked micro-kernel buys over the scalar slice-wise path.
+/// Attention at a realistic head shape (8 heads × 64-dim, GQA `n_kv = 2`),
+/// chunked forward and backward at seq 512 and 2048.
 fn bench_attention_gemm(c: &mut Criterion) {
     let cfg = HeadCfg::new(8, 2, 64);
     let mut g = c.benchmark_group("attention_gemm");
@@ -255,67 +252,17 @@ fn bench_attention_gemm(c: &mut Criterion) {
         let offsets: Vec<usize> = (0..8).map(|c| c * lc).collect();
         let fwd = forward_chunked(&q, &chunks, &offsets, cfg, 0);
         let d_o = seeded_uniform(s, cfg.q_width(), 44);
-        for kernel in [AttnKernel::Scalar, AttnKernel::Gemm] {
-            g.bench_with_input(
-                BenchmarkId::new(format!("fwd_{}", kernel.as_str()), s),
-                &s,
-                |bch, _| {
-                    bch.iter(|| {
-                        with_attn_kernel(kernel, || {
-                            black_box(forward_chunked(&q, &chunks, &offsets, cfg, 0))
-                        })
-                    })
-                },
-            );
-            g.bench_with_input(
-                BenchmarkId::new(format!("bwd_{}", kernel.as_str()), s),
-                &s,
-                |bch, _| {
-                    bch.iter(|| {
-                        with_attn_kernel(kernel, || {
-                            black_box(backward_chunked(
-                                &q, &chunks, &offsets, &d_o, &fwd.o, &fwd.lse, cfg, 0,
-                            ))
-                        })
-                    })
-                },
-            );
-        }
+        g.bench_with_input(BenchmarkId::new("fwd_gemm", s), &s, |bch, _| {
+            bch.iter(|| black_box(forward_chunked(&q, &chunks, &offsets, cfg, 0)))
+        });
+        g.bench_with_input(BenchmarkId::new("bwd_gemm", s), &s, |bch, _| {
+            bch.iter(|| {
+                black_box(backward_chunked(
+                    &q, &chunks, &offsets, &d_o, &fwd.o, &fwd.lse, cfg, 0,
+                ))
+            })
+        });
     }
-    g.finish();
-}
-
-/// The fused SwiGLU backward (activation gradients folded into the gate/up
-/// projection GEMMs as prologues) vs. materialising `d_gate`/`d_up` with
-/// `swiglu::backward` and running plain GEMMs — the `d_normed` composition
-/// the layer backward actually executes.
-fn bench_fused_swiglu_bwd(c: &mut Criterion) {
-    let (t, h) = (256usize, 512usize);
-    let d_act = seeded_uniform(t, h, 51);
-    let gate = seeded_uniform(t, h, 52);
-    let up = seeded_uniform(t, h, 53);
-    let wg = PackedWeight::new(seeded_uniform(h, h, 54));
-    let wu = PackedWeight::new(seeded_uniform(h, h, 55));
-    let mut g = c.benchmark_group("fused_swiglu_bwd");
-    g.bench_function("fused", |b| {
-        b.iter(|| {
-            let pro_dg = Prologue::DSwigluGateRows { gate: &gate, up: &up };
-            let pro_du = Prologue::DSwigluUpRows { gate: &gate };
-            let mut dn = matmul_fused(&d_act, wg.nt(), pro_dg, Epilogue::None);
-            matmul_fused_acc(&mut dn, &d_act, wu.nt(), pro_du);
-            black_box(dn).recycle();
-        })
-    });
-    g.bench_function("unfused", |b| {
-        b.iter(|| {
-            let (d_gate, d_up) = swiglu::backward(&gate, &up, &d_act);
-            let mut dn = matmul_fused(&d_gate, wg.nt(), Prologue::None, Epilogue::None);
-            matmul_fused_acc(&mut dn, &d_up, wu.nt(), Prologue::None);
-            d_gate.recycle();
-            d_up.recycle();
-            black_box(dn).recycle();
-        })
-    });
     g.finish();
 }
 
@@ -427,7 +374,6 @@ criterion_group!(
     bench_matmul_vs_seed,
     bench_gemm_packed_cache,
     bench_fused_layer,
-    bench_fused_swiglu_bwd,
     bench_attention,
     bench_attention_gemm,
     bench_attention_scaling,

@@ -171,20 +171,6 @@ fn main() -> ExitCode {
         ("gemm_packed_cache/nt_packed/512", "gemm_packed_cache/nt_unpacked/512", 0.9),
         ("fused_layer/norm_gemm_fused", "fused_layer/norm_gemm_unfused", 0.9),
         ("fused_layer/swiglu_resid_gemm_fused", "fused_layer/swiglu_resid_gemm_unfused", 0.9),
-        // The GEMM attention regime (score/value products through the
-        // blocked micro-kernel) must never lose to the scalar slice-wise
-        // path beyond noise, forward and backward, at both sequence
-        // lengths (in practice it wins 3-5x). The fused SwiGLU backward
-        // must stay within the same gate of the materialised d_gate/d_up
-        // composition: fusion trades one shared activation pass for a
-        // recompute per consumer GEMM, so on a compute-bound single-core
-        // host it may tie — its win is the two eliminated intermediates
-        // (0.83 ≈ 1/1.2).
-        ("attention_gemm/fwd_gemm/512", "attention_gemm/fwd_scalar/512", 0.83),
-        ("attention_gemm/bwd_gemm/512", "attention_gemm/bwd_scalar/512", 0.83),
-        ("attention_gemm/fwd_gemm/2048", "attention_gemm/fwd_scalar/2048", 0.83),
-        ("attention_gemm/bwd_gemm/2048", "attention_gemm/bwd_scalar/2048", 0.83),
-        ("fused_swiglu_bwd/fused", "fused_swiglu_bwd/unfused", 0.83),
         // The fully-armed fault-tolerant runtime (idle fault plan, guarded
         // rendezvous, watchdog) must stay within the 20% gate of its clean
         // twin, measured back-to-back on the same workload: 0.83 ≈ 1/1.2.

@@ -193,7 +193,7 @@ fn serve(
                 let mut d_logits = shard_backward(&logits, &targets, s.offset, &lse);
                 logits.recycle();
                 d_logits.scale(scale);
-                matmul_tn_acc(&mut s.grad, &normed, &d_logits, Prologue::None, Prologue::None);
+                matmul_tn_acc(&mut s.grad, &normed, &d_logits, Prologue::None);
                 let d_hidden =
                     matmul_fused(&d_logits, s.w.nt(), Prologue::None, Epilogue::None);
                 d_logits.recycle();

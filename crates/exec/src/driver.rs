@@ -33,7 +33,10 @@ use crate::checkpoint::CheckpointState;
 use crate::fault::{ExecError, FaultKind, FaultPlan, FaultSite};
 use crate::model::ExecConfig;
 use crate::schedule::PipelineKind;
-use crate::train::{try_resume_pipeline_from_traced, try_run_pipeline_traced, RunResult};
+use crate::train::{
+    try_resume_pipeline_from_traced, try_run_pipeline_traced, with_env_fault_plan, with_env_trace,
+    RunResult,
+};
 use slimpipe_obs::{counters as obs_counters, RecoveryPhase, SpanKind, TraceSession};
 use std::fmt;
 use std::sync::Arc;
@@ -247,14 +250,7 @@ pub fn run_elastic(
     lr: f32,
     replanner: &mut dyn Replanner,
 ) -> Result<DriverOutcome, ExecError> {
-    let (trace, path) = TraceSession::from_env();
-    let out = run_elastic_traced(cfg, driver, steps, lr, replanner, &trace);
-    if let Some(p) = path {
-        // Written on error too — the trace of a failed job carries the
-        // recovery transitions that led up to the terminal error.
-        let _ = slimpipe_obs::chrome::write_chrome_trace(&trace.report(), &p);
-    }
-    out
+    with_env_trace(|trace| run_elastic_traced(cfg, driver, steps, lr, replanner, trace))
 }
 
 /// [`run_elastic`] recording into an explicit trace session. One session
@@ -271,10 +267,7 @@ pub fn run_elastic_traced(
 ) -> Result<DriverOutcome, ExecError> {
     // Adopt the env fault plan here so the supervise loop sees (and can
     // disarm) the same schedule the runs execute.
-    let mut cfg = cfg.clone();
-    if cfg.fault_plan.is_none() {
-        cfg.fault_plan = FaultPlan::from_env().map_err(ExecError::InvalidConfig)?;
-    }
+    let mut cfg = with_env_fault_plan(cfg)?;
     let mut rec = trace.recorder("driver");
     let mut log = RecoveryLog::default();
     let mut attempt = 0usize;

@@ -261,11 +261,11 @@ impl FaultPlan {
         Ok(Self { faults })
     }
 
-    /// The `SLIMPIPE_FAULT_PLAN` hook (mirrors the `SLIMPIPE_ATTN_KERNEL`
-    /// regime pattern): a value starting with `{` is inline JSON, anything
-    /// else is a path to a JSON file. Returns `Ok(None)` when unset or
-    /// empty. Consulted by `try_run_pipeline` / `try_resume_pipeline` and
-    /// the recovery driver only when the config carries no explicit plan.
+    /// The `SLIMPIPE_FAULT_PLAN` hook: a value starting with `{` is inline
+    /// JSON, anything else is a path to a JSON file. Returns `Ok(None)`
+    /// when unset or empty. Consulted by `try_run_pipeline` /
+    /// `try_resume_pipeline` and the recovery driver only when the config
+    /// carries no explicit plan.
     pub fn from_env() -> Result<Option<Self>, String> {
         let v = match std::env::var("SLIMPIPE_FAULT_PLAN") {
             Ok(v) if !v.trim().is_empty() => v,

@@ -53,7 +53,7 @@ use crate::model::ExecConfig;
 use slimpipe_tensor::attention::{AttnPartial, HeadCfg};
 use slimpipe_tensor::init::seeded_xavier;
 use slimpipe_tensor::matmul::{matmul_fused, matmul_fused_acc, matmul_tn_acc};
-use slimpipe_tensor::{attention, pool, rmsnorm, Epilogue, PackedWeight, Prologue, Tensor};
+use slimpipe_tensor::{attention, pool, rmsnorm, swiglu, Epilogue, PackedWeight, Prologue, Tensor};
 
 /// Weights of one layer, each packed once for both GEMM orientations.
 #[derive(Clone, Debug)]
@@ -454,27 +454,21 @@ pub fn layer_backward(
     attn: &mut dyn AttnExecutor,
 ) -> Result<Tensor, ExecError> {
     dkv.ensure(slice + 1);
-    // ---- MLP path (normed2, the SwiGLU product, and both SwiGLU backward
-    // maps are recomputed inside the GEMM packs — `d_gate`/`d_up` are never
-    // materialised) ----
+    // ---- MLP path (normed2 and the SwiGLU product are recomputed inside
+    // the GEMM packs; `d_gate`/`d_up` are computed once and feed four GEMMs) ----
     let inv2 = rmsnorm::inv_rms(&cache.resid_mid);
-    matmul_tn_acc(
-        &mut g.w_down,
-        &cache.gate,
-        &d_y,
-        Prologue::SwigluCols { up: &cache.up },
-        Prologue::None,
-    );
+    matmul_tn_acc(&mut g.w_down, &cache.gate, &d_y, Prologue::SwigluCols { up: &cache.up });
     let d_act = matmul_fused(&d_y, p.w_down.nt(), Prologue::None, Epilogue::None);
-    let pro_n2 = Prologue::NormCols { inv: &inv2, gain: &p.norm2 };
-    let pro_dg = Prologue::DSwigluGateRows { gate: &cache.gate, up: &cache.up };
-    let pro_du = Prologue::DSwigluUpRows { gate: &cache.gate };
-    matmul_tn_acc(&mut g.w_gate, &cache.resid_mid, &d_act, pro_n2, pro_dg);
-    matmul_tn_acc(&mut g.w_up, &cache.resid_mid, &d_act, pro_n2, pro_du);
-    pool::recycle(inv2);
-    let mut d_normed2 = matmul_fused(&d_act, p.w_gate.nt(), pro_dg, Epilogue::None);
-    matmul_fused_acc(&mut d_normed2, &d_act, p.w_up.nt(), pro_du);
+    let (d_gate, d_up) = swiglu::backward(&cache.gate, &cache.up, &d_act);
     d_act.recycle();
+    let pro_n2 = Prologue::NormCols { inv: &inv2, gain: &p.norm2 };
+    matmul_tn_acc(&mut g.w_gate, &cache.resid_mid, &d_gate, pro_n2);
+    matmul_tn_acc(&mut g.w_up, &cache.resid_mid, &d_up, pro_n2);
+    pool::recycle(inv2);
+    let mut d_normed2 = matmul_fused(&d_gate, p.w_gate.nt(), Prologue::None, Epilogue::None);
+    matmul_fused_acc(&mut d_normed2, &d_up, p.w_up.nt());
+    d_gate.recycle();
+    d_up.recycle();
     let (d_resid_from_norm, d_norm2) = rmsnorm::backward(&cache.resid_mid, &p.norm2, &d_normed2);
     d_normed2.recycle();
     for (a, b) in g.norm2.iter_mut().zip(&d_norm2) {
@@ -485,7 +479,7 @@ pub fn layer_backward(
     d_resid_mid.add_assign_recycle(d_resid_from_norm);
 
     // ---- attention output projection ----
-    matmul_tn_acc(&mut g.wo, &cache.attn_out, &d_resid_mid, Prologue::None, Prologue::None);
+    matmul_tn_acc(&mut g.wo, &cache.attn_out, &d_resid_mid, Prologue::None);
     let d_o = matmul_fused(&d_resid_mid, p.wo.nt(), Prologue::None, Epilogue::None);
 
     // ---- chunked attention backward ----
@@ -526,13 +520,13 @@ pub fn layer_backward(
     // inside the dW GEMM packs) ----
     let inv1 = rmsnorm::inv_rms(&cache.x_in);
     let pro_n1 = Prologue::NormCols { inv: &inv1, gain: &p.norm1 };
-    matmul_tn_acc(&mut g.wq, &cache.x_in, &d_q, pro_n1, Prologue::None);
-    matmul_tn_acc(&mut g.wk, &cache.x_in, &d_k, pro_n1, Prologue::None);
-    matmul_tn_acc(&mut g.wv, &cache.x_in, &d_v, pro_n1, Prologue::None);
+    matmul_tn_acc(&mut g.wq, &cache.x_in, &d_q, pro_n1);
+    matmul_tn_acc(&mut g.wk, &cache.x_in, &d_k, pro_n1);
+    matmul_tn_acc(&mut g.wv, &cache.x_in, &d_v, pro_n1);
     pool::recycle(inv1);
     let mut d_normed1 = matmul_fused(&d_q, p.wq.nt(), Prologue::None, Epilogue::None);
-    matmul_fused_acc(&mut d_normed1, &d_k, p.wk.nt(), Prologue::None);
-    matmul_fused_acc(&mut d_normed1, &d_v, p.wv.nt(), Prologue::None);
+    matmul_fused_acc(&mut d_normed1, &d_k, p.wk.nt());
+    matmul_fused_acc(&mut d_normed1, &d_v, p.wv.nt());
     d_q.recycle();
     d_k.recycle();
     d_v.recycle();

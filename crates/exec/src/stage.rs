@@ -257,7 +257,6 @@ impl Stage {
                         &hidden_in,
                         &d_logits,
                         Prologue::NormCols { inv: &inv, gain: norm_gain },
-                        Prologue::None,
                     );
                     pool::recycle(inv);
                     let d_normed = matmul_fused(&d_logits, w.nt(), Prologue::None, Epilogue::None);

@@ -159,15 +159,7 @@ fn send_act(
     stage: usize,
     port: Port,
 ) -> Result<(), ExecError> {
-    tx.send(msg).map_err(|_| {
-        if ctl.aborted() {
-            ExecError::Aborted { stage }
-        } else {
-            let e = ExecError::Disconnected { stage, port };
-            ctl.fail(e.clone());
-            e
-        }
-    })
+    tx.send(msg).map_err(|_| Outbound::disconnect(ctl, stage, port))
 }
 
 /// Outbound half of a stage boundary, in one of two regimes. `Sync` is the
@@ -191,8 +183,8 @@ impl Outbound {
         }
     }
 
-    /// A gone peer, mapped exactly like [`send_act`]: drain quietly when
-    /// the run is already aborting, report the disconnect otherwise.
+    /// A gone peer: drain quietly when the run is already aborting, report
+    /// the disconnect otherwise.
     fn disconnect(ctl: &RunCtl, stage: usize, port: Port) -> ExecError {
         if ctl.aborted() {
             ExecError::Aborted { stage }
@@ -1225,12 +1217,24 @@ fn run_from_inner(
 /// config carries no explicit plan and the env names one, the env plan is
 /// adopted (and then validated like any other, so a plan written against
 /// the wrong geometry reports `InvalidConfig`, not silence).
-fn with_env_fault_plan(cfg: &ExecConfig) -> Result<ExecConfig, ExecError> {
+pub(crate) fn with_env_fault_plan(cfg: &ExecConfig) -> Result<ExecConfig, ExecError> {
     let mut cfg = cfg.clone();
     if cfg.fault_plan.is_none() {
         cfg.fault_plan = FaultPlan::from_env().map_err(ExecError::InvalidConfig)?;
     }
     Ok(cfg)
+}
+
+/// Run `f` under the session the `SLIMPIPE_TRACE` hook selects, then write
+/// the Chrome trace when the hook named a path — on error too: the trace
+/// of a failed run is the one you most want to look at.
+pub(crate) fn with_env_trace<T>(f: impl FnOnce(&Arc<TraceSession>) -> T) -> T {
+    let (trace, path) = TraceSession::from_env();
+    let out = f(&trace);
+    if let Some(p) = path {
+        let _ = slimpipe_obs::chrome::write_chrome_trace(&trace.report(), &p);
+    }
+    out
 }
 
 /// Run `steps` training iterations of `cfg` under `kind`. The gradients of
@@ -1243,14 +1247,7 @@ pub fn try_run_pipeline(
     steps: usize,
     lr: f32,
 ) -> Result<RunResult, ExecError> {
-    let (trace, path) = TraceSession::from_env();
-    let out = try_run_pipeline_traced(cfg, kind, steps, lr, &trace);
-    if let Some(p) = path {
-        // Written on error too — a trace of a failed run is the one you
-        // most want to look at.
-        let _ = slimpipe_obs::chrome::write_chrome_trace(&trace.report(), &p);
-    }
-    out
+    with_env_trace(|trace| try_run_pipeline_traced(cfg, kind, steps, lr, trace))
 }
 
 /// [`try_run_pipeline`] recording into an explicit trace session (the
@@ -1308,12 +1305,7 @@ pub fn try_resume_pipeline_from(
     lr: f32,
     state: CheckpointState,
 ) -> Result<RunResult, ExecError> {
-    let (trace, path) = TraceSession::from_env();
-    let out = try_resume_pipeline_from_traced(cfg, kind, steps, lr, state, &trace);
-    if let Some(p) = path {
-        let _ = slimpipe_obs::chrome::write_chrome_trace(&trace.report(), &p);
-    }
-    out
+    with_env_trace(|trace| try_resume_pipeline_from_traced(cfg, kind, steps, lr, state, trace))
 }
 
 /// [`try_resume_pipeline_from`] recording into an explicit trace session.

@@ -140,7 +140,6 @@ fn time_head_point(cfg: &ExecConfig, out_w: &PackedWeight, t: usize) -> (f64, f6
         &hidden_in,
         &d_logits,
         Prologue::NormCols { inv: &inv, gain: &gain },
-        Prologue::None,
     );
     pool::recycle(inv);
     let d_normed = matmul_fused(&d_logits, out_w.nt(), Prologue::None, Epilogue::None);
@@ -268,9 +267,6 @@ pub fn calibrate(cfg: &ExecConfig, opts: &CalibrationOpts) -> CostProfile {
 
     CostProfile {
         shape: shape_of(cfg),
-        // Timings above ran under the process's active attention regime;
-        // stamp it so the profile can't be priced against the other kernel.
-        regime: slimpipe_tensor::attn_kernel(),
         f0,
         ft,
         fp,

@@ -201,7 +201,6 @@ mod tests {
     fn toy_profile() -> CostProfile {
         CostProfile {
             shape: ProfileShape { heads: 4, kv_heads: 2, head_dim: 8, ffn: 64, vocab: 96 },
-            regime: slimpipe_tensor::AttnKernel::Gemm,
             f0: 1000.0,
             ft: 50.0,
             fp: 2.0,

@@ -72,52 +72,22 @@ pub fn recovery_replanner(
     }
 }
 
-/// The committed reference profiles: calibrated once per attention kernel
-/// regime on the dev host for [`slimpipe_exec::ExecConfig::small`]'s model
-/// shape, pinned so planner tests are deterministic on any (arbitrarily
-/// noisy) machine. The file keys one profile block per regime under
-/// `"regimes"`; [`reference_profile`] picks the block matching the
-/// process's active `SLIMPIPE_ATTN_KERNEL`.
+/// The committed reference profile: calibrated once on the dev host for
+/// [`slimpipe_exec::ExecConfig::small`]'s model shape, pinned so planner
+/// tests are deterministic on any (arbitrarily noisy) machine.
 pub fn reference_profile() -> CostProfile {
-    reference_profile_for(slimpipe_tensor::attn_kernel())
-}
-
-/// The committed reference profile for a specific attention kernel regime.
-pub fn reference_profile_for(regime: slimpipe_tensor::AttnKernel) -> CostProfile {
-    let text = include_str!("../profiles/reference.json");
-    // The minimal first-occurrence scanner in `CostProfile::from_json`
-    // can't see nesting, so slice the regime's block out of the keyed file
-    // first: from this regime's tag key to the next regime tag (or EOF).
-    let keys: Vec<(usize, &str)> = ["scalar", "gemm"]
-        .iter()
-        .filter_map(|tag| text.find(&format!("\"{tag}\": {{")).map(|i| (i, *tag)))
-        .collect();
-    let start = keys
-        .iter()
-        .find(|(_, tag)| *tag == regime.as_str())
-        .map(|(i, _)| *i)
-        .expect("committed reference.json must key every kernel regime");
-    let end = keys.iter().map(|(i, _)| *i).filter(|&i| i > start).min().unwrap_or(text.len());
-    let p = CostProfile::from_json(&text[start..end])
-        .expect("committed reference profile must parse");
-    assert_eq!(p.regime, regime, "reference.json block tagged with the wrong regime");
-    p
+    CostProfile::from_json(include_str!("../profiles/reference.json"))
+        .expect("committed reference profile must parse")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use slimpipe_tensor::AttnKernel;
 
     #[test]
     fn reference_profile_parses_and_matches_the_small_shape() {
-        for regime in [AttnKernel::Scalar, AttnKernel::Gemm] {
-            let p = reference_profile_for(regime);
-            p.validate().unwrap();
-            assert_eq!(p.regime, regime);
-            assert_eq!(p.shape, shape_of(&slimpipe_exec::ExecConfig::small()));
-        }
-        // The default entry point follows the active kernel regime.
-        assert_eq!(reference_profile().regime, slimpipe_tensor::attn_kernel());
+        let p = reference_profile();
+        p.validate().unwrap();
+        assert_eq!(p.shape, shape_of(&slimpipe_exec::ExecConfig::small()));
     }
 }

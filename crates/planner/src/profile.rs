@@ -13,7 +13,6 @@
 //! attention is `O(pairs)` with an `O(t)` softmax/merge edge, and the
 //! constants absorb per-call dispatch overhead.
 
-use slimpipe_tensor::AttnKernel;
 use std::fmt::Write as _;
 
 /// The model shape a profile was calibrated for — priced costs are only
@@ -37,12 +36,6 @@ impl ProfileShape {
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct CostProfile {
     pub shape: ProfileShape,
-    /// The attention kernel regime (`SLIMPIPE_ATTN_KERNEL`) the timings
-    /// were taken under — attention dominates the pair slopes, so profiles
-    /// are only comparable within a regime. Committed reference profiles
-    /// are keyed by this tag; legacy single-profile JSON (no `"regime"`)
-    /// parses as [`AttnKernel::Scalar`], the kernel that produced it.
-    pub regime: AttnKernel,
     /// One transformer layer, forward: `f0 + ft·tokens + fp·pairs`.
     pub f0: f64,
     pub ft: f64,
@@ -117,7 +110,6 @@ impl CostProfile {
     pub fn to_json(&self) -> String {
         let mut out = String::from("{\n");
         let s = &self.shape;
-        let _ = writeln!(out, "  \"regime\": \"{}\",", self.regime.as_str());
         let _ = writeln!(
             out,
             "  \"shape\": {{\"heads\": {}, \"kv_heads\": {}, \"head_dim\": {}, \
@@ -162,24 +154,8 @@ impl CostProfile {
             ffn: num("ffn")? as usize,
             vocab: num("vocab")? as usize,
         };
-        // `"regime": "<tag>"` — a string, so it gets its own tiny scan.
-        // Absent (legacy single-profile JSON) means the scalar kernel that
-        // produced those profiles; an unknown tag is a hand-editing error.
-        let regime = match text.find("\"regime\":") {
-            None => AttnKernel::Scalar,
-            Some(idx) => {
-                let rest = text[idx + "\"regime\":".len()..].trim_start();
-                let tag: String = rest
-                    .strip_prefix('"')
-                    .map(|r| r.chars().take_while(|c| *c != '"').collect())
-                    .ok_or_else(|| "profile JSON regime is not a string".to_string())?;
-                AttnKernel::parse(&tag)
-                    .ok_or_else(|| format!("profile JSON unknown regime \"{tag}\""))?
-            }
-        };
         let p = CostProfile {
             shape,
-            regime,
             f0: num("f0")?,
             ft: num("ft")?,
             fp: num("fp")?,
@@ -300,7 +276,6 @@ mod tests {
     fn toy_profile() -> CostProfile {
         CostProfile {
             shape: ProfileShape { heads: 4, kv_heads: 2, head_dim: 8, ffn: 64, vocab: 96 },
-            regime: AttnKernel::Gemm,
             f0: 1000.0,
             ft: 50.0,
             fp: 2.0,
@@ -322,29 +297,13 @@ mod tests {
         let p = toy_profile();
         let q = CostProfile::from_json(&p.to_json()).unwrap();
         assert_eq!(p.shape, q.shape);
-        assert_eq!(p.regime, q.regime);
         assert!((p.ft - q.ft).abs() < 1e-3);
         assert!((p.bp - q.bp).abs() < 1e-3);
         assert!((p.hbt - q.hbt).abs() < 1e-3);
-    }
-
-    #[test]
-    fn regime_tag_roundtrips_and_legacy_defaults_to_scalar() {
-        let mut p = toy_profile();
-        p.regime = AttnKernel::Scalar;
-        assert_eq!(CostProfile::from_json(&p.to_json()).unwrap().regime, AttnKernel::Scalar);
-        // Pre-PR-8 committed profiles carry no regime key: they were
-        // measured under the (then only) scalar kernel.
-        let legacy: String = toy_profile()
-            .to_json()
-            .lines()
-            .filter(|l| !l.contains("\"regime\""))
-            .collect::<Vec<_>>()
-            .join("\n");
-        assert_eq!(CostProfile::from_json(&legacy).unwrap().regime, AttnKernel::Scalar);
-        // An unknown tag is a hand-editing error, not a silent default.
-        let bad = toy_profile().to_json().replace("\"gemm\"", "\"simd\"");
-        assert!(CostProfile::from_json(&bad).is_err());
+        // Files written by the old per-regime `calibrate_profile` still
+        // carry a `"regime"` key; it is ignored.
+        let old = p.to_json().replacen("{\n", "{\n  \"regime\": \"scalar\",\n", 1);
+        assert_eq!(CostProfile::from_json(&old).unwrap(), q);
     }
 
     #[test]

@@ -48,34 +48,23 @@ pub struct CommOpts {
     pub bytes_per_token: f64,
 }
 
+/// Largest slice count considered for any microbatch.
+const MAX_SLICES_PER_MB: usize = 16;
+/// Boundary-grid resolution for the DP (token positions per microbatch;
+/// small sequences use every position).
+const BOUNDARY_GRID: usize = 128;
+/// Hill-climbing rounds over the winning plan's bounds.
+const REFINE_ROUNDS: usize = 2;
+
 /// Search knobs.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct PlanOpts {
     /// Hard per-device peak activation byte cap (predicted by the byte
     /// model). `None` = unconstrained.
     pub mem_cap_bytes: Option<u64>,
-    /// Largest slice count considered for any microbatch.
-    pub max_slices_per_mb: usize,
-    /// Boundary-grid resolution for the DP (token positions per
-    /// microbatch; small sequences use every position).
-    pub boundary_grid: usize,
-    /// Hill-climbing rounds over the winning plan's bounds.
-    pub refine_rounds: usize,
     /// Optional stage-boundary link pricing. `None` (the default) keeps
     /// sends free — in-process stages pass pointers.
     pub comm: Option<CommOpts>,
-}
-
-impl Default for PlanOpts {
-    fn default() -> Self {
-        Self {
-            mem_cap_bytes: None,
-            max_slices_per_mb: 16,
-            boundary_grid: 128,
-            refine_rounds: 2,
-            comm: None,
-        }
-    }
 }
 
 /// Why the planner could not produce a plan.
@@ -243,7 +232,7 @@ pub fn plan(cfg: &ExecConfig, profile: &CostProfile, opts: &PlanOpts) -> Result<
     };
 
     // --- candidate slice-count vectors ---
-    let kmax = (opts.max_slices_per_mb / p).max(1);
+    let kmax = (MAX_SLICES_PER_MB / p).max(1);
     let mut count_vecs: BTreeSet<Vec<usize>> = BTreeSet::new();
     for k in 1..=kmax {
         let cap_of = |seq: u64| floor_mult(seq as usize, p).max(p).min(seq as usize);
@@ -278,7 +267,7 @@ pub fn plan(cfg: &ExecConfig, profile: &CostProfile, opts: &PlanOpts) -> Result<
         let dp_slicings: Vec<Slicing> = counts
             .iter()
             .zip(&seqs)
-            .map(|(&n, &s)| Slicing::explicit(s, dp_balanced_bounds(s, n, opts.boundary_grid, &weight)))
+            .map(|(&n, &s)| Slicing::explicit(s, dp_balanced_bounds(s, n, BOUNDARY_GRID, &weight)))
             .collect();
         consider(evaluate(cfg, profile, &bm, counts, dp_slicings, opts));
         let even: Vec<Slicing> = counts
@@ -303,7 +292,7 @@ pub fn plan(cfg: &ExecConfig, profile: &CostProfile, opts: &PlanOpts) -> Result<
 
     // --- local refinement: move individual bounds while the simulated
     //     makespan improves ---
-    for _ in 0..opts.refine_rounds {
+    for _ in 0..REFINE_ROUNDS {
         let mut improved = false;
         for mb in 0..m {
             let n = best.counts[mb];
@@ -442,7 +431,6 @@ pub fn replan_for_stages(
             link: DEGRADED_LINK,
             bytes_per_token: (degraded.hidden() * 4) as f64,
         }),
-        ..PlanOpts::default()
     };
     let plan = plan(&degraded, profile, &opts)?;
     Ok(plan.to_exec_config(&degraded))
@@ -467,7 +455,6 @@ mod tests {
     fn toy_profile() -> CostProfile {
         CostProfile {
             shape: ProfileShape { heads: 4, kv_heads: 2, head_dim: 8, ffn: 64, vocab: 96 },
-            regime: slimpipe_tensor::AttnKernel::Gemm,
             f0: 1000.0,
             ft: 50.0,
             fp: 2.0,

@@ -33,8 +33,7 @@ pub mod shared;
 pub mod swiglu;
 pub mod tensor;
 
-pub use attention::{attn_kernel, merge_partials, set_attn_kernel, with_attn_kernel, AttnKernel,
-    AttnPartial, FlashStats};
+pub use attention::{attn_kernel, merge_partials, AttnKernel, AttnPartial, FlashStats};
 pub use matmul::{Epilogue, PackedMat, PackedWeight, Prologue};
 pub use memtrack::MemCounter;
 pub use pool::PoolStats;

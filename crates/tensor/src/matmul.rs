@@ -54,7 +54,7 @@
 //! element in the same ascending-k order as the blocked kernel, so packed
 //! and unpacked paths agree bit-for-bit at every size.
 
-use crate::ops::{silu, silu_grad};
+use crate::ops::silu;
 use crate::pool;
 use crate::shared::SyncSliceMut;
 use crate::tensor::Tensor;
@@ -217,16 +217,6 @@ pub enum Prologue<'a> {
     /// SwiGLU fused on the transposed gate view:
     /// `a'[i,p] = silu(a[i,p]) · up[p,i]`.
     SwigluCols { up: &'a Tensor },
-    /// SwiGLU *backward* `d_gate` map fused on the row-major upstream
-    /// gradient (the operand **is** `d_act`):
-    /// `a'[i,p] = (a[i,p] · up[i,p]) · silu_grad(gate[i,p])` — the exact
-    /// expression `swiglu::backward` evaluates, so fused ≡ unfused at the
-    /// bit level. As a *B-side* prologue (weight-gradient GEMMs) the same
-    /// variant applies with `(i, p) = (token, feature)` — B is the
-    /// row-major `d_act`, tokens along k.
-    DSwigluGateRows { gate: &'a Tensor, up: &'a Tensor },
-    /// SwiGLU backward `d_up` map: `a'[i,p] = a[i,p] · silu(gate[i,p])`.
-    DSwigluUpRows { gate: &'a Tensor },
 }
 
 impl Prologue<'_> {
@@ -250,13 +240,6 @@ impl Prologue<'_> {
             Prologue::SwigluCols { up } => {
                 assert_eq!(up.shape(), (vp, vi), "SwigluCols up shape mismatch");
             }
-            Prologue::DSwigluGateRows { gate, up } => {
-                assert_eq!(gate.shape(), (vi, vp), "DSwigluGateRows gate shape mismatch");
-                assert_eq!(up.shape(), (vi, vp), "DSwigluGateRows up shape mismatch");
-            }
-            Prologue::DSwigluUpRows { gate } => {
-                assert_eq!(gate.shape(), (vi, vp), "DSwigluUpRows gate shape mismatch");
-            }
         }
     }
 
@@ -269,11 +252,6 @@ impl Prologue<'_> {
             Prologue::NormCols { inv, gain } => (x * inv[p]) * gain[i],
             Prologue::SwigluRows { up } => silu(x) * up.as_slice()[i * up.cols() + p],
             Prologue::SwigluCols { up } => silu(x) * up.as_slice()[p * up.cols() + i],
-            Prologue::DSwigluGateRows { gate, up } => {
-                let idx = i * gate.cols() + p;
-                (x * up.as_slice()[idx]) * silu_grad(gate.as_slice()[idx])
-            }
-            Prologue::DSwigluUpRows { gate } => x * silu(gate.as_slice()[i * gate.cols() + p]),
         }
     }
 }
@@ -333,7 +311,7 @@ impl PackedMat {
             for pc in (0..k).step_by(KC) {
                 let kc = (k - pc).min(KC);
                 let off = panel_offset(k, n, nr, jc, pc);
-                pack_b(&mut data[off..off + slivers * nr * kc], view, &Prologue::None, pc, jc, kc, nc, nr);
+                pack_b(&mut data[off..off + slivers * nr * kc], view, pc, jc, kc, nc, nr);
             }
         }
         slimpipe_obs::counters::WEIGHT_PACKS.incr();
@@ -510,19 +488,6 @@ fn pack_a(dst: &mut [f32], a: View<'_>, pro: &Prologue<'_>, i0: usize, p0: usize
                             dst[base + p * MR + r] = silu(v) * u[p];
                         }
                     }
-                    Prologue::DSwigluGateRows { gate, up } => {
-                        let g = &gate.as_slice()[gi * gate.cols() + p0..][..kc];
-                        let u = &up.as_slice()[gi * up.cols() + p0..][..kc];
-                        for (p, &v) in src.iter().enumerate() {
-                            dst[base + p * MR + r] = (v * u[p]) * silu_grad(g[p]);
-                        }
-                    }
-                    Prologue::DSwigluUpRows { gate } => {
-                        let g = &gate.as_slice()[gi * gate.cols() + p0..][..kc];
-                        for (p, &v) in src.iter().enumerate() {
-                            dst[base + p * MR + r] = v * silu(g[p]);
-                        }
-                    }
                     _ => {
                         for (p, &v) in src.iter().enumerate() {
                             dst[base + p * MR + r] = pro.apply(v, gi, p0 + p);
@@ -547,33 +512,18 @@ fn pack_a(dst: &mut [f32], a: View<'_>, pro: &Prologue<'_>, i0: usize, p0: usize
 }
 
 /// Pack `kc×nc` of B (from `(p0, j0)`) into `nr`-column k-major slivers,
-/// zero-padding the ragged last sliver. The prologue maps elements with
-/// `(i, p) = (k-index, column-index)` — for the fused weight-gradient GEMMs
-/// whose B is a row-major activation gradient, that is `(token, feature)`,
-/// the same convention the `Rows` variants use on A.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-fn pack_b(
-    dst: &mut [f32],
-    b: View<'_>,
-    pro: &Prologue<'_>,
-    p0: usize,
-    j0: usize,
-    kc: usize,
-    nc: usize,
-    nr: usize,
-) {
+/// zero-padding the ragged last sliver.
+fn pack_b(dst: &mut [f32], b: View<'_>, p0: usize, j0: usize, kc: usize, nc: usize, nr: usize) {
     let slivers = nc.div_ceil(nr);
-    let plain = matches!(pro, Prologue::None);
     for t in 0..slivers {
         let cols = (nc - t * nr).min(nr);
         let base = t * kc * nr;
-        if plain && b.cs == 1 && cols == nr {
+        if b.cs == 1 && cols == nr {
             for p in 0..kc {
                 let src = &b.data[(p0 + p) * b.rs + j0 + t * nr..][..nr];
                 dst[base + p * nr..base + (p + 1) * nr].copy_from_slice(src);
             }
-        } else if plain && b.rs == 1 && cols == nr {
+        } else if b.rs == 1 && cols == nr {
             // Column-strided view (a transposed row-major matrix): iterate
             // source rows so reads are contiguous; writes stride by nr.
             for (c, col) in (0..nr).map(|c| {
@@ -583,24 +533,11 @@ fn pack_b(
                     dst[base + p * nr + c] = v;
                 }
             }
-        } else if b.cs == 1 && cols == nr {
-            // Row-contiguous source with a fused prologue (the `dW` GEMMs'
-            // mapped B): contiguous reads, per-element map.
-            for p in 0..kc {
-                let src = &b.data[(p0 + p) * b.rs + j0 + t * nr..][..nr];
-                for (c, &v) in src.iter().enumerate() {
-                    dst[base + p * nr + c] = pro.apply(v, p0 + p, j0 + t * nr + c);
-                }
-            }
         } else {
             for p in 0..kc {
                 let d = &mut dst[base + p * nr..base + (p + 1) * nr];
                 for (c, dc) in d.iter_mut().enumerate() {
-                    *dc = if c < cols {
-                        pro.apply(b.at(p0 + p, j0 + t * nr + c), p0 + p, j0 + t * nr + c)
-                    } else {
-                        0.0
-                    };
+                    *dc = if c < cols { b.at(p0 + p, j0 + t * nr + c) } else { 0.0 };
                 }
             }
         }
@@ -824,9 +761,7 @@ fn block_update(
 
 /// The shared blocked kernel. With `overwrite` the prior contents of `c`
 /// are ignored (the first rank update writes); without, strips accumulate
-/// into what `c` already holds (`C += A·B`, the gradient shape). `pro_b`
-/// maps B elements during the per-call `pack_b` (view operands only —
-/// persistent packs are packed plain).
+/// into what `c` already holds (`C += A·B`, the gradient shape).
 #[allow(clippy::too_many_arguments)]
 fn gemm_core(
     m: usize,
@@ -835,7 +770,6 @@ fn gemm_core(
     a: View<'_>,
     pro: &Prologue<'_>,
     b: BOperand<'_>,
-    pro_b: &Prologue<'_>,
     epi: &Epilogue<'_>,
     c: &mut [f32],
     overwrite: bool,
@@ -860,10 +794,6 @@ fn gemm_core(
         BOperand::Packed(pm) => {
             assert_eq!(pm.k, k, "packed inner dimension mismatch");
             assert_eq!(pm.n, n, "packed output dimension mismatch");
-            assert!(
-                matches!(pro_b, Prologue::None),
-                "B prologues require a view operand (packs are plain)"
-            );
             pm.nr
         }
         BOperand::View(_) => kernel_nr(),
@@ -886,7 +816,7 @@ fn gemm_core(
                 BOperand::Packed(pm) => pm.panel(jc, pc, kc),
                 BOperand::View(v) => {
                     let mut buf = pool::take_raw(nc.div_ceil(nr) * nr * kc);
-                    pack_b(&mut buf, v, pro_b, pc, jc, kc, nc, nr);
+                    pack_b(&mut buf, v, pc, jc, kc, nc, nr);
                     bscratch = Some(buf);
                     bscratch.as_deref().unwrap()
                 }
@@ -930,18 +860,7 @@ fn gemm(m: usize, n: usize, k: usize, a: View<'_>, b: View<'_>) -> Tensor {
     // The first rank update writes every element, so the buffer may start
     // with arbitrary recycled contents.
     let mut c = Tensor::uninit_pooled(m, n);
-    gemm_core(
-        m,
-        n,
-        k,
-        a,
-        &Prologue::None,
-        BOperand::View(b),
-        &Prologue::None,
-        &Epilogue::None,
-        c.as_mut_slice(),
-        true,
-    );
+    gemm_core(m, n, k, a, &Prologue::None, BOperand::View(b), &Epilogue::None, c.as_mut_slice(), true);
     c
 }
 
@@ -1022,7 +941,6 @@ pub fn matmul_fused(a: &Tensor, b: &PackedMat, pro: Prologue<'_>, epi: Epilogue<
         View { data: a.as_slice(), rs: k, cs: 1 },
         &pro,
         BOperand::Packed(b),
-        &Prologue::None,
         &epi,
         c.as_mut_slice(),
         true,
@@ -1030,22 +948,19 @@ pub fn matmul_fused(a: &Tensor, b: &PackedMat, pro: Prologue<'_>, epi: Epilogue<
     c
 }
 
-/// `C += pro(A) · B` against a persistent pack — the `d_normed`
-/// accumulation shape of the layer backward, with the A-side elementwise
-/// recompute (e.g. the fused SwiGLU-backward `d_up` map) applied during
-/// packing. Bit-identical to
-/// `c.add_assign_recycle(matmul_fused(a, b, pro, ..))` at every size:
-/// below `KC` the single rank update accumulates in the same element
-/// order, and past `KC` the fallback literally is that composition.
-/// (Packed GEMMs are always blocked, so past-`KC` shapes associate the
-/// k-sum per `KC`-strip — like any blocked GEMM at that depth.)
-pub fn matmul_fused_acc(c: &mut Tensor, a: &Tensor, b: &PackedMat, pro: Prologue<'_>) {
+/// `C += A · B` against a persistent pack — the `d_normed` accumulation
+/// shape of the layer backward. Bit-identical to
+/// `c.add_assign_recycle(matmul_fused(a, b, ..))` at every size: below
+/// `KC` the single rank update accumulates in the same element order, and
+/// past `KC` the fallback literally is that composition. (Packed GEMMs
+/// are always blocked, so past-`KC` shapes associate the k-sum per
+/// `KC`-strip — like any blocked GEMM at that depth.)
+pub fn matmul_fused_acc(c: &mut Tensor, a: &Tensor, b: &PackedMat) {
     assert_eq!(a.cols(), b.k, "matmul_fused_acc inner dimension mismatch");
     let (m, k) = a.shape();
     assert_eq!(c.shape(), (m, b.n), "accumulator shape mismatch");
-    pro.validate(m, k);
     if k > KC {
-        let t = matmul_fused(a, b, pro, Epilogue::None);
+        let t = matmul_fused(a, b, Prologue::None, Epilogue::None);
         c.add_assign_recycle(t);
         return;
     }
@@ -1055,43 +970,36 @@ pub fn matmul_fused_acc(c: &mut Tensor, a: &Tensor, b: &PackedMat, pro: Prologue
         n,
         k,
         View { data: a.as_slice(), rs: k, cs: 1 },
-        &pro,
-        BOperand::Packed(b),
         &Prologue::None,
+        BOperand::Packed(b),
         &Epilogue::None,
         c.as_mut_slice(),
         false,
     );
 }
 
-/// `C += pro(Aᵀ) · pro_b(B)` with `A: (k, m)`, `B: (k, n)` unpacked — the
-/// weight gradient accumulation `dW += Xᵀ · dY`, with the activation
-/// recompute (RMSNorm / SwiGLU) fused into the A pack and, when the
-/// upstream gradient itself is a cheap elementwise map (the fused
-/// SwiGLU-backward `d_gate`/`d_up`), that map fused into the B pack.
-/// `pro_b` indexes `(token, feature) = (k-row, column)`, i.e. the `Rows`
-/// variants with B's own row-major layout. Bit-identical to the
-/// separate-pass composition (materialised prologues + `matmul_tn` +
+/// `C += pro(Aᵀ) · B` with `A: (k, m)`, `B: (k, n)` unpacked — the weight
+/// gradient accumulation `dW += Xᵀ · dY`, with the activation recompute
+/// (RMSNorm / SwiGLU) fused into the A pack. Bit-identical to the
+/// separate-pass composition (materialised prologue + `matmul_tn` +
 /// `add_assign`) at **every** size: below `KC` the single rank update
 /// accumulates into `c` in the same element order, and past `KC` the
 /// fallback literally *is* that composition — it materialises the mapped
-/// operands and reuses the thresholded [`matmul_tn`], so the k-summation
+/// A and reuses the thresholded [`matmul_tn`], so the k-summation
 /// associates exactly as the unfused path would (small loop or blocked,
 /// whichever the shape picks).
-pub fn matmul_tn_acc(c: &mut Tensor, a: &Tensor, b: &Tensor, pro: Prologue<'_>, pro_b: Prologue<'_>) {
+pub fn matmul_tn_acc(c: &mut Tensor, a: &Tensor, b: &Tensor, pro: Prologue<'_>) {
     assert_eq!(a.rows(), b.rows(), "matmul_tn_acc inner dimension mismatch");
     let (k, m) = a.shape();
     let n = b.cols();
     assert_eq!(c.shape(), (m, n), "accumulator shape mismatch");
     pro.validate(m, k);
-    pro_b.validate(k, n);
     if k > KC {
-        // a'[r, c] = pro(a[r, c]) in view coords (i = column, p = row) —
-        // exactly what rmsnorm/swiglu forward produce; likewise
-        // b'[r, c] = pro_b(b[r, c]) with (token, feature) = (r, c).
-        let mapped_a = match &pro {
-            Prologue::None => None,
+        let t = match &pro {
+            Prologue::None => matmul_tn(a, b),
             _ => {
+                // a'[r, c] = pro(a[r, c]) in view coords (i = column,
+                // p = row) — exactly what rmsnorm/swiglu forward produce.
                 let mut mapped = Tensor::uninit_pooled(k, m);
                 for r in 0..k {
                     let (src, dst) = (a.row(r), mapped.row_mut(r));
@@ -1099,35 +1007,17 @@ pub fn matmul_tn_acc(c: &mut Tensor, a: &Tensor, b: &Tensor, pro: Prologue<'_>, 
                         *d = pro.apply(s, c2, r);
                     }
                 }
-                Some(mapped)
+                let t = matmul_tn(&mapped, b);
+                mapped.recycle();
+                t
             }
         };
-        let mapped_b = match &pro_b {
-            Prologue::None => None,
-            _ => {
-                let mut mapped = Tensor::uninit_pooled(k, n);
-                for r in 0..k {
-                    let (src, dst) = (b.row(r), mapped.row_mut(r));
-                    for (c2, (d, &s)) in dst.iter_mut().zip(src).enumerate() {
-                        *d = pro_b.apply(s, r, c2);
-                    }
-                }
-                Some(mapped)
-            }
-        };
-        let t = matmul_tn(mapped_a.as_ref().unwrap_or(a), mapped_b.as_ref().unwrap_or(b));
-        if let Some(ma) = mapped_a {
-            ma.recycle();
-        }
-        if let Some(mb) = mapped_b {
-            mb.recycle();
-        }
         c.add_assign_recycle(t);
         return;
     }
     let at = View { data: a.as_slice(), rs: 1, cs: m };
     let bv = View { data: b.as_slice(), rs: n, cs: 1 };
-    gemm_core(m, n, k, at, &pro, BOperand::View(bv), &pro_b, &Epilogue::None, c.as_mut_slice(), false);
+    gemm_core(m, n, k, at, &pro, BOperand::View(bv), &Epilogue::None, c.as_mut_slice(), false);
 }
 
 // ---- direct loops for executor-scale (tiny) unpacked matrices ----
@@ -1260,7 +1150,7 @@ pub fn gemm_tile(
     let (apack, rest) = scratch.split_at_mut(a_slivers * MR * k);
     let bpack = &mut rest[..b_slivers * nr * k];
     pack_a(apack, View { data: a.data, rs: a.rs, cs: a.cs }, &Prologue::None, 0, 0, m, k);
-    pack_b(bpack, View { data: b.data, rs: b.rs, cs: b.cs }, &Prologue::None, 0, 0, k, n, nr);
+    pack_b(bpack, View { data: b.data, rs: b.rs, cs: b.cs }, 0, 0, k, n, nr);
     let simd = wide_simd_available();
     let mut tile8 = [0.0f32; MR * NR_NARROW];
     let mut tile16 = [0.0f32; MR * NR_WIDE];
@@ -1502,7 +1392,7 @@ mod tests {
             let b = seeded_uniform(k, 7, 1 + k as u64);
             let mut fused = seeded_uniform(33, 7, 2);
             let mut unfused = fused.clone();
-            matmul_tn_acc(&mut fused, &a, &b, Prologue::None, Prologue::None);
+            matmul_tn_acc(&mut fused, &a, &b, Prologue::None);
             unfused.add_assign_recycle(matmul_tn(&a, &b));
             assert_eq!(fused, unfused, "tn_acc k={k}");
 
@@ -1512,7 +1402,7 @@ mod tests {
             let inv = crate::rmsnorm::inv_rms(&a);
             let mut f2 = seeded_uniform(33, 7, 3);
             let mut u2 = f2.clone();
-            matmul_tn_acc(&mut f2, &a, &b, Prologue::NormCols { inv: &inv, gain: &gain }, Prologue::None);
+            matmul_tn_acc(&mut f2, &a, &b, Prologue::NormCols { inv: &inv, gain: &gain });
             pool::recycle(inv);
             let normed = crate::rmsnorm::forward(&a, &gain);
             u2.add_assign_recycle(matmul_tn(&normed, &b));
@@ -1526,7 +1416,7 @@ mod tests {
             let packed = PackedMat::pack_nt(&w);
             let mut facc = seeded_uniform(14, 21, 5);
             let mut uacc = facc.clone();
-            matmul_fused_acc(&mut facc, &d, &packed, Prologue::None);
+            matmul_fused_acc(&mut facc, &d, &packed);
             uacc.add_assign_recycle(matmul_fused(&d, &packed, Prologue::None, Epilogue::None));
             assert_eq!(facc, uacc, "fused_acc k={k}");
         }

@@ -6,14 +6,14 @@
 use proptest::prelude::*;
 use slimpipe_tensor::attention::{
     backward_chunk, backward_chunked, d_rows, forward_chunked, forward_full, merge_partials,
-    partial, with_attn_kernel, AttnKernel, HeadCfg,
+    oracle, partial, HeadCfg,
 };
 use slimpipe_tensor::crossentropy::{
     combine_stats, forward_backward, loss_from_stats, shard_stats,
 };
 use slimpipe_tensor::init::{seeded_tokens, seeded_uniform};
 use slimpipe_tensor::matmul::{
-    matmul, matmul_fused, matmul_fused_acc, matmul_nt, matmul_tn, matmul_tn_acc, with_kernel_nr,
+    matmul, matmul_fused, matmul_nt, matmul_tn, matmul_tn_acc, with_kernel_nr,
 };
 use slimpipe_tensor::{pool, rmsnorm, swiglu, Epilogue, PackedWeight, Prologue, Tensor};
 
@@ -236,7 +236,6 @@ proptest! {
                 &x,
                 &dy,
                 Prologue::NormCols { inv: &inv, gain: &gain },
-                Prologue::None,
             );
             g_unfused.add_assign(&matmul_tn(&normed, &dy));
             assert_eq!(g_fused, g_unfused, "tn_acc norm ({m},{k},{n}) nr={nr} t={threads}");
@@ -246,80 +245,15 @@ proptest! {
         }));
     }
 
-    /// Fused SwiGLU-backward prologues ≡ the separate-pass composition,
-    /// bit for bit, across NR widths and thread counts. `swiglu::backward`
-    /// is finite-difference anchored in its own unit tests, so bitwise
-    /// equality here transitively anchors the fused path: the
-    /// `DSwigluGateRows`/`DSwigluUpRows` maps reproduce its exact
-    /// elementwise expressions, hence identical packs, hence identical
-    /// GEMM bits — with no `d_gate`/`d_up` tensor ever materialised.
+    /// Production (blocked-GEMM) attention ≡ the scalar oracle within
+    /// tolerance: forward output/lse and all three chunk gradients, across
+    /// GQA groupings (`n_kv ∈ {1, 2, n_heads}`), causal (diagonal chunk)
+    /// and fully visible (past chunk) masks, ragged query/key lengths, and
+    /// 1/4-thread pools. The two intentionally differ in summation order,
+    /// so this is the tolerance gate — bit-identity of the production
+    /// kernels across widths is asserted by the determinism suite.
     #[test]
-    fn fused_swiglu_backward_equals_separate_passes_bitwise(
-        m in 1usize..70,
-        f in 1usize..96,
-        n in 1usize..70,
-        seed in 0u64..500,
-        nr_sel in 0usize..2,
-        threads_sel in 0usize..2,
-    ) {
-        let nr = [8usize, 16][nr_sel];
-        let threads = [1usize, 4][threads_sel];
-        with_kernel_nr(nr, || rayon::with_num_threads(threads, || {
-            let gate = seeded_uniform(m, f, seed);
-            let up = seeded_uniform(m, f, seed + 1);
-            let d_act = seeded_uniform(m, f, seed + 2);
-            let (d_gate, d_up) = swiglu::backward(&gate, &up, &d_act);
-            let pro_dg = Prologue::DSwigluGateRows { gate: &gate, up: &up };
-            let pro_du = Prologue::DSwigluUpRows { gate: &gate };
-
-            // dX side (A-operand maps on the fused/accumulate entries):
-            // d_normed = d_gate·Wᵍᵀ + d_up·Wᵘᵀ without the intermediates.
-            let wt = seeded_uniform(f, n, seed + 3);
-            let pw = PackedWeight::new(wt.clone());
-            let mut fused = matmul_fused(&d_act, pw.nn(), pro_dg, Epilogue::None);
-            let mut unfused = matmul(&d_gate, &wt);
-            assert_eq!(fused, unfused, "d_gate map ({m},{f},{n}) nr={nr} t={threads}");
-            matmul_fused_acc(&mut fused, &d_act, pw.nn(), pro_du);
-            unfused.add_assign(&matmul(&d_up, &wt));
-            assert_eq!(fused, unfused, "d_up acc ({m},{f},{n}) nr={nr} t={threads}");
-            fused.recycle();
-            unfused.recycle();
-
-            // dW side (B-operand map on the transposed-accumulate entry),
-            // composed with the NormCols A-map exactly like the layer:
-            // g.w_gate += normed(x)ᵀ · d_gate.
-            let x = seeded_uniform(m, n, seed + 4);
-            let gain: Vec<f32> = (0..n).map(|i| 0.9 + 0.01 * i as f32).collect();
-            let inv = rmsnorm::inv_rms(&x);
-            let pro_n = Prologue::NormCols { inv: &inv, gain: &gain };
-            let mut gw_fused = seeded_uniform(n, f, seed + 5);
-            let mut gw_unfused = gw_fused.clone();
-            matmul_tn_acc(&mut gw_fused, &x, &d_act, pro_n, pro_dg);
-            let normed = rmsnorm::forward(&x, &gain);
-            gw_unfused.add_assign(&matmul_tn(&normed, &d_gate));
-            assert_eq!(gw_fused, gw_unfused, "dW gate ({m},{f},{n}) nr={nr} t={threads}");
-            let mut gw_fused_u = seeded_uniform(n, f, seed + 6);
-            let mut gw_unfused_u = gw_fused_u.clone();
-            matmul_tn_acc(&mut gw_fused_u, &x, &d_act, pro_n, pro_du);
-            gw_unfused_u.add_assign(&matmul_tn(&normed, &d_up));
-            assert_eq!(gw_fused_u, gw_unfused_u, "dW up ({m},{f},{n}) nr={nr} t={threads}");
-
-            normed.recycle();
-            pool::recycle(inv);
-            d_gate.recycle();
-            d_up.recycle();
-        }));
-    }
-
-    /// Gemm-regime attention ≡ scalar-regime attention within tolerance:
-    /// forward output/lse and all three chunk gradients, across GQA
-    /// groupings (`n_kv ∈ {1, 2, n_heads}`), causal (diagonal chunk) and
-    /// fully visible (past chunk) masks, ragged query/key lengths, and
-    /// 1/4-thread pools. The regimes intentionally differ in summation
-    /// order, so this is the tolerance gate — bit-identity is asserted
-    /// *within* each regime by the determinism suite.
-    #[test]
-    fn gemm_attention_matches_scalar(
+    fn attention_matches_scalar_oracle(
         kv_sel in 0usize..3,
         lq in 1usize..80,
         lc in 1usize..80,
@@ -340,15 +274,19 @@ proptest! {
         let v = seeded_uniform(lc, cfg.kv_width(), seed + 2);
         let d_o = seeded_uniform(lq, cfg.q_width(), seed + 3);
 
-        let run = |kernel| with_attn_kernel(kernel, || rayon::with_num_threads(threads, || {
+        // Each side differentiates through its own forward statistics.
+        let p_s = oracle::partial(&q, &k, &v, cfg, q_offset, 0);
+        let d = d_rows(&d_o, &p_s.o, cfg);
+        let (dq_s, dk_s, dv_s) =
+            oracle::backward_chunk(&q, &k, &v, &d_o, &p_s.lse, &d, cfg, q_offset, 0);
+        pool::recycle(d);
+        let (p_g, (dq_g, dk_g, dv_g)) = rayon::with_num_threads(threads, || {
             let p = partial(&q, &k, &v, cfg, q_offset, 0);
             let d = d_rows(&d_o, &p.o, cfg);
             let bwd = backward_chunk(&q, &k, &v, &d_o, &p.lse, &d, cfg, q_offset, 0);
             pool::recycle(d);
             (p, bwd)
-        }));
-        let (p_s, (dq_s, dk_s, dv_s)) = run(AttnKernel::Scalar);
-        let (p_g, (dq_g, dk_g, dv_g)) = run(AttnKernel::Gemm);
+        });
         let tol = 1e-5 * (lc as f32).sqrt() * 8.0;
         prop_assert!(p_s.o.max_abs_diff(&p_g.o) < tol, "o ({lq},{lc}) off={q_offset}");
         for (a, b) in p_s.lse.iter().zip(&p_g.lse) {
