@@ -10,6 +10,8 @@
 //!   micro-kernel must stay ≥ 2× ahead of the seed kernel;
 //! * `attention_scaling/fwd_threads_{1,max}` — (head, q-block) parallel
 //!   forward; on multi-core hosts the `max` series must beat `1`;
+//! * `softmax_row/simd` vs `softmax_row/libm` — the row `exp` kernel must
+//!   stay ≥ 1.5× ahead of per-element libm on an attention tile;
 //! * `pool/take_recycle` vs `pool/fresh_alloc` — the steady-state
 //!   allocation the pool removes.
 
@@ -20,6 +22,7 @@ use slimpipe_tensor::attention::{
 use slimpipe_tensor::crossentropy::{combine_stats, forward_backward, shard_stats};
 use slimpipe_tensor::init::{seeded_tokens, seeded_uniform};
 use slimpipe_tensor::matmul::{matmul, matmul_fused, matmul_nt, matmul_tn, PackedMat};
+use slimpipe_tensor::ops::exp_sub_row;
 use slimpipe_tensor::{pool, rmsnorm, swiglu, Epilogue, PackedWeight, Prologue, Tensor};
 use std::hint::black_box;
 
@@ -326,6 +329,48 @@ fn bench_online_softmax_merge(c: &mut Criterion) {
     });
 }
 
+/// The softmax row step of one attention tile (64 query rows × 256 keys):
+/// `exp(s − m)` in place plus the row sum, through libm per element
+/// (the loop the row kernel replaced) and through `ops::exp_sub_row`.
+/// Both twins restore the same score tile before each pass.
+fn bench_softmax_row(c: &mut Criterion) {
+    let (rows, cols) = (64usize, 256usize);
+    let scores = seeded_uniform(rows, cols, 12);
+    let mut tile = scores.clone();
+    let mut g = c.benchmark_group("softmax_row");
+    g.bench_function("libm", |b| {
+        b.iter(|| {
+            tile.as_mut_slice().copy_from_slice(scores.as_slice());
+            let mut total = 0.0f32;
+            for r in 0..rows {
+                let row = tile.row_mut(r);
+                let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                let mut sum = 0.0f32;
+                for s in row.iter_mut() {
+                    let w = (*s - m).exp();
+                    *s = w;
+                    sum += w;
+                }
+                total += sum;
+            }
+            black_box(total)
+        })
+    });
+    g.bench_function("simd", |b| {
+        b.iter(|| {
+            tile.as_mut_slice().copy_from_slice(scores.as_slice());
+            let mut total = 0.0f32;
+            for r in 0..rows {
+                let row = tile.row_mut(r);
+                let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                total += exp_sub_row(row, m);
+            }
+            black_box(total)
+        })
+    });
+    g.finish();
+}
+
 fn bench_crossentropy(c: &mut Criterion) {
     let (rows, vocab) = (256usize, 4096usize);
     let logits = seeded_uniform(rows, vocab, 10);
@@ -338,7 +383,7 @@ fn bench_crossentropy(c: &mut Criterion) {
         b.iter(|| {
             let w = vocab / 4;
             let stats: Vec<_> = (0..4)
-                .map(|s| shard_stats(&logits.cols_slice(s * w, w), &targets, s * w))
+                .map(|s| shard_stats(&mut logits.cols_slice(s * w, w), &targets, s * w))
                 .collect();
             black_box(combine_stats(&stats))
         })
@@ -378,6 +423,7 @@ criterion_group!(
     bench_attention_gemm,
     bench_attention_scaling,
     bench_online_softmax_merge,
+    bench_softmax_row,
     bench_crossentropy,
     bench_pool,
 );

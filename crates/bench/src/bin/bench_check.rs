@@ -20,8 +20,9 @@
 //! Machine-independent **ratio invariants** inside the *fresh* snapshot
 //! gate in every regime (CI runners never match the committed baseline's
 //! host): the tiled GEMM must stay well ahead of the seed kernel, the pool
-//! must stay well ahead of malloc, and the thread-scaling series must
-//! never be slower than their single-thread twins beyond noise.
+//! must stay well ahead of malloc, the softmax row kernel must stay well
+//! ahead of libm `exp`, and the thread-scaling series must never be slower
+//! than their single-thread twins beyond noise.
 
 use std::collections::BTreeMap;
 use std::process::ExitCode;
@@ -162,6 +163,9 @@ fn main() -> ExitCode {
         ("matmul/tiled/512", "matmul/seed_ikj/512", 1.5),
         ("matmul/tiled/1024", "matmul/seed_ikj/1024", 1.5),
         ("pool/take_recycle", "pool/fresh_alloc", 10.0),
+        // The softmax row kernel (polynomial exp, 16-lane sum) must stay
+        // well ahead of per-element libm `exp` with a serial sum.
+        ("softmax_row/simd", "softmax_row/libm", 1.5),
         ("attention_scaling/fwd_threads_max", "attention_scaling/fwd_threads_1", 0.77),
         ("attention_scaling/bwd_mqa_threads_max", "attention_scaling/bwd_mqa_threads_1", 0.77),
         // The persistent packed-weight cache must never lose to per-call

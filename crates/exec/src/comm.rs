@@ -180,9 +180,9 @@ fn serve(
                 // reply surfaces at the client as a typed `ServerDied` —
                 // exactly what the recovery driver knows how to heal.
                 let Some(s) = shard.as_ref() else { break };
-                let logits =
+                let mut logits =
                     matmul_fused(&normed, s.w.nn(), Prologue::None, Epilogue::None);
-                let stats = shard_stats(&logits, &targets, s.offset);
+                let stats = shard_stats(&mut logits, &targets, s.offset);
                 logits.recycle();
                 let _ = reply.send(stats);
             }

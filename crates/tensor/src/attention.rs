@@ -43,10 +43,12 @@
 //! [`PAR_ATTN_WORK`] everything runs inline on the caller.
 
 use crate::matmul::{gemm_tile, gemm_tile_scratch_len, TileView, TileWrite};
+use crate::ops::exp_sub_row;
 use crate::pool;
 use crate::shared::SyncSliceMut;
 use crate::tensor::Tensor;
 use rayon::prelude::*;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Rows per forward q-block task.
 const Q_BLOCK: usize = 64;
@@ -262,8 +264,10 @@ pub fn partial(
 
     // Per-task scratch: probability tile (rows × tile), unnormalised output
     // accumulator (rows × dh), running max and sum (rows each), plus
-    // micro-kernel pack scratch for the larger of the two tile GEMMs. Every
-    // head shares a q-block's layout, so offsets are (h * stride + prefix).
+    // micro-kernel pack scratch for the larger of the two tile GEMMs. A
+    // task's result never depends on which block it ran in, so scratch is
+    // sized by tasks in flight: one block per slot, each slot claiming
+    // task indices until none remain.
     let rows_of = |qb: usize| (lq - qb * Q_BLOCK).min(Q_BLOCK);
     let bound_of = |qb: usize| -> usize {
         (q_offset + qb * Q_BLOCK + rows_of(qb)).saturating_sub(kv_offset).min(lc)
@@ -277,40 +281,56 @@ pub fn partial(
         let pack = gemm_tile_scratch_len(rows, tw, dh).max(gemm_tile_scratch_len(rows, dh, tw));
         rows * tw + rows * dh + 2 * rows + pack
     };
-    let stride: usize = (0..n_qblocks).map(per).sum();
-    let offset_of = |h: usize, qb: usize| h * stride + (0..qb).map(per).sum::<usize>();
+    let block_len = (0..n_qblocks).map(per).max().unwrap_or(0);
+    let slots = if parallel { rayon::current_num_threads().min(n_tasks) } else { 1 };
 
-    let mut scratch = pool::take_raw(cfg.n_heads * stride);
+    let mut scratch = pool::take_raw(slots * block_len);
     {
         let o_view = SyncSliceMut::new(o.as_mut_slice());
         let scratch_view = SyncSliceMut::new(&mut scratch);
         let lse_view = SyncSliceMut::new(&mut lse);
-        let run_task = |t: usize| {
-            let (h, qb) = (t / n_qblocks, t % n_qblocks);
-            let i0 = qb * Q_BLOCK;
-            let rows = rows_of(qb);
-            // Safety: disjoint (head, q-block) lse ranges per task.
-            let lse_rows = unsafe { lse_view.range_mut(h * lq + i0, rows) };
-            let bound = bound_of(qb);
-            if bound == 0 {
-                lse_rows.fill(f32::NEG_INFINITY); // o rows stay zero
-                return;
+        let next_task = AtomicUsize::new(0);
+        let run_slot = |slot: usize| {
+            // Safety: one exclusive scratch block per slot index.
+            let block = unsafe { scratch_view.range_mut(slot * block_len, block_len) };
+            loop {
+                // Relaxed: the counter only hands out indices; results are
+                // published to the caller by the fan-in join.
+                let t = next_task.fetch_add(1, Ordering::Relaxed);
+                if t >= n_tasks {
+                    return;
+                }
+                let (h, qb) = (t / n_qblocks, t % n_qblocks);
+                let i0 = qb * Q_BLOCK;
+                let rows = rows_of(qb);
+                // Safety: disjoint (head, q-block) lse ranges per task.
+                let lse_rows = unsafe { lse_view.range_mut(h * lq + i0, rows) };
+                let bound = bound_of(qb);
+                if bound == 0 {
+                    lse_rows.fill(f32::NEG_INFINITY); // o rows stay zero
+                    continue;
+                }
+                partial_task(
+                    q,
+                    k,
+                    v,
+                    cfg,
+                    q_offset,
+                    kv_offset,
+                    h,
+                    i0,
+                    rows,
+                    bound,
+                    &o_view,
+                    lse_rows,
+                    &mut block[..per(qb)],
+                );
             }
-            // Safety: one exclusive scratch block per task index.
-            let block = unsafe { scratch_view.range_mut(offset_of(h, qb), per(qb)) };
-            partial_task(
-                q, k, v, cfg, q_offset, kv_offset, h, i0, rows, bound, &o_view, lse_rows, block,
-            );
         };
         if parallel {
-            (0..n_tasks)
-                .into_par_iter()
-                .with_min_len(claim_batch(n_tasks))
-                .for_each(run_task);
+            (0..slots).into_par_iter().for_each(run_slot);
         } else {
-            for t in 0..n_tasks {
-                run_task(t);
-            }
+            run_slot(0);
         }
     }
     pool::recycle(scratch);
@@ -376,12 +396,7 @@ fn partial_task(
                 }
                 mrow[li] = tmax;
             }
-            let m = mrow[li];
-            for s in &mut row[..vis] {
-                let w = (*s - m).exp();
-                *s = w;
-                srow[li] += w;
-            }
+            srow[li] += exp_sub_row(&mut row[..vis], mrow[li]);
             row[vis..].fill(0.0);
         }
         // acc += P · V_tile through the micro-kernel.
@@ -722,9 +737,7 @@ fn backward_task(
                     row.fill(0.0);
                     continue;
                 }
-                for s in &mut row[..vis] {
-                    *s = (*s - l).exp();
-                }
+                exp_sub_row(&mut row[..vis], l);
                 row[vis..].fill(0.0);
             }
             // dP = dO · V_tileᵀ
@@ -940,9 +953,8 @@ pub mod oracle {
 mod tests {
     use super::*;
     use crate::init::seeded_uniform;
-    use crate::ops::softmax_rows;
 
-    /// Naive full causal attention (explicit softmax) for one head layout —
+    /// Naive full causal attention (explicit libm softmax) for one head layout —
     /// scores come from the shared maskable implementation
     /// ([`masked_scores`]), so there is exactly one score/mask code path.
     fn naive_full(q: &Tensor, k: &Tensor, v: &Tensor, cfg: HeadCfg) -> Tensor {
@@ -951,7 +963,13 @@ mod tests {
         for h in 0..cfg.n_heads {
             let kvh = h / (cfg.n_heads / cfg.n_kv_heads);
             let mut scores = masked_scores(q, k, cfg, h, 0, 0);
-            softmax_rows(&mut scores);
+            for i in 0..lq {
+                let row = scores.row_mut(i);
+                let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+                row.iter_mut().for_each(|s| *s = (*s - m).exp());
+                let sum: f32 = row.iter().sum();
+                row.iter_mut().for_each(|s| *s /= sum);
+            }
             for i in 0..lq {
                 for c in 0..dh {
                     let mut acc = 0.0;

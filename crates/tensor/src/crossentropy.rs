@@ -9,6 +9,7 @@
 //! `d_logits` locally. Communication is `O(rows)` scalars instead of
 //! `O(rows × vocab)` logits — the paper's "drastically reduced" volume.
 
+use crate::ops::exp_sub_row;
 use crate::tensor::Tensor;
 
 /// Monolithic reference: returns `(summed loss, d_logits)` where
@@ -24,11 +25,7 @@ pub fn forward_backward(logits: &Tensor, targets: &[u32]) -> (f64, Tensor) {
         let t = targets[r] as usize;
         assert!(t < row.len(), "target out of vocabulary");
         let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let mut sum = 0.0f32;
-        for v in row.iter_mut() {
-            *v = (*v - m).exp();
-            sum += *v;
-        }
+        let sum = exp_sub_row(row, m);
         let lse = m + sum.ln();
         loss += (lse - logits.at(r, t)) as f64;
         let inv = 1.0 / sum;
@@ -57,25 +54,26 @@ pub struct GlobalStats {
 }
 
 /// Pass 1 on one vocabulary shard: local max / sum-exp / target pick-up.
+/// The shard is the kernel's scratch: on return each row holds
+/// `exp(logit − row max)`.
 #[allow(clippy::needless_range_loop)] // `r` indexes the shard and targets in lockstep
-pub fn shard_stats(logits_shard: &Tensor, targets: &[u32], vocab_offset: usize) -> ShardStats {
+pub fn shard_stats(logits_shard: &mut Tensor, targets: &[u32], vocab_offset: usize) -> ShardStats {
     assert_eq!(logits_shard.rows(), targets.len(), "row/target mismatch");
     let w = logits_shard.cols();
     let mut max = Vec::with_capacity(targets.len());
     let mut sumexp = Vec::with_capacity(targets.len());
     let mut target_logit = Vec::with_capacity(targets.len());
     for r in 0..logits_shard.rows() {
-        let row = logits_shard.row(r);
-        let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
-        let s: f32 = row.iter().map(|v| (v - m).exp()).sum();
-        max.push(m);
-        sumexp.push(s);
+        let row = logits_shard.row_mut(r);
         let t = targets[r] as usize;
         target_logit.push(if t >= vocab_offset && t < vocab_offset + w {
             row[t - vocab_offset]
         } else {
             f32::NEG_INFINITY
         });
+        let m = row.iter().copied().fold(f32::NEG_INFINITY, f32::max);
+        max.push(m);
+        sumexp.push(exp_sub_row(row, m));
     }
     ShardStats { max, sumexp, target_logit }
 }
@@ -121,9 +119,7 @@ pub fn shard_backward(
     for r in 0..d.rows() {
         let l = lse[r];
         let row = d.row_mut(r);
-        for v in row.iter_mut() {
-            *v = (*v - l).exp();
-        }
+        exp_sub_row(row, l);
         let t = targets[r] as usize;
         if t >= vocab_offset && t < vocab_offset + w {
             row[t - vocab_offset] -= 1.0;
@@ -187,7 +183,7 @@ mod tests {
         for &shards in &[2usize, 3, 4] {
             let w = vocab / shards;
             let stats: Vec<ShardStats> = (0..shards)
-                .map(|s| shard_stats(&logits.cols_slice(s * w, w), &targets, s * w))
+                .map(|s| shard_stats(&mut logits.cols_slice(s * w, w), &targets, s * w))
                 .collect();
             let g = combine_stats(&stats);
             let loss = loss_from_stats(&g);
@@ -209,7 +205,7 @@ mod tests {
         // per row regardless of vocabulary width.
         let logits = seeded_uniform(4, 1024, 7);
         let targets = seeded_tokens(4, 1024, 8);
-        let s = shard_stats(&logits.cols_slice(0, 512), &targets, 0);
+        let s = shard_stats(&mut logits.cols_slice(0, 512), &targets, 0);
         assert_eq!(s.max.len() + s.sumexp.len() + s.target_logit.len(), 12);
     }
 }

@@ -19,7 +19,7 @@
 
 use proptest::prelude::*;
 use slimpipe_tensor::attention::{
-    backward_chunk, backward_chunked, d_rows, forward_chunked, HeadCfg,
+    backward_chunk, backward_chunked, d_rows, forward_chunked, partial, HeadCfg,
 };
 use slimpipe_tensor::init::seeded_uniform;
 use slimpipe_tensor::Tensor;
@@ -95,6 +95,34 @@ proptest! {
             prop_assert_eq!(&got.4.0, &reference.4.0, "exchanged dQ differs at width {}", w);
             prop_assert_eq!(&got.4.1, &reference.4.1, "exchanged dK differs at width {}", w);
             prop_assert_eq!(&got.4.2, &reference.4.2, "exchanged dV differs at width {}", w);
+        }
+    }
+
+    /// `partial` runs its tasks through one scratch block per slot (at
+    /// most the pool width), so at this size every slot runs many tasks in
+    /// whatever order it claims them; the bits must not notice. Covers a
+    /// ragged, partially visible chunk (queries offset past the keys).
+    #[test]
+    fn partial_is_bit_identical_across_widths_with_many_tasks_per_slot(
+        kv_sel in 0usize..3,
+        ragged in 0usize..2,
+        seed in 0u64..200,
+    ) {
+        let n_heads = 8;
+        let cfg = HeadCfg::new(n_heads, [1, 2, n_heads][kv_sel], 16);
+        // 8 heads × 7–8 q-blocks: 56–64 tasks against at most 8 slots.
+        let (lq, lc, q_offset, kv_offset) = [(512, 512, 0, 0), (449, 301, 120, 37)][ragged];
+        let q = seeded_uniform(lq, cfg.q_width(), seed);
+        let k = seeded_uniform(lc, cfg.kv_width(), seed + 1);
+        let v = seeded_uniform(lc, cfg.kv_width(), seed + 2);
+        let run = |w: usize| {
+            rayon::with_num_threads(w, || partial(&q, &k, &v, cfg, q_offset, kv_offset))
+        };
+        let reference = run(WIDTHS[0]);
+        for &w in &WIDTHS[1..] {
+            let got = run(w);
+            prop_assert_eq!(&got.o, &reference.o, "partial O differs at width {}", w);
+            prop_assert_eq!(&got.lse, &reference.lse, "partial lse differs at width {}", w);
         }
     }
 

@@ -314,7 +314,7 @@ proptest! {
         let (ref_loss, _) = forward_backward(&logits, &targets);
         let w = vocab / shards;
         let stats: Vec<_> = (0..shards)
-            .map(|s| shard_stats(&logits.cols_slice(s * w, w), &targets, s * w))
+            .map(|s| shard_stats(&mut logits.cols_slice(s * w, w), &targets, s * w))
             .collect();
         let loss = loss_from_stats(&combine_stats(&stats));
         prop_assert!((loss - ref_loss).abs() < 1e-3);
