@@ -9,7 +9,8 @@ use slimpipe_core::slicing::Slicing;
 use slimpipe_core::theory::Scheme;
 use slimpipe_exec::model::ExecConfig;
 use slimpipe_exec::schedule::PipelineKind;
-use slimpipe_exec::train::run_pipeline;
+use slimpipe_exec::train::try_run_pipeline_traced;
+use slimpipe_exec::TraceSession;
 use slimpipe_model::{Checkpoint, ModelConfig};
 use slimpipe_sim::cost::CostModel;
 use slimpipe_sim::engine::simulate;
@@ -73,8 +74,14 @@ fn ablation_vocab_parallel(c: &mut Criterion) {
             vocab_parallel: vp,
             ..ExecConfig::small()
         };
+        let off = TraceSession::disabled();
         g.bench_function(name, |b| {
-            b.iter(|| black_box(run_pipeline(&cfg, PipelineKind::SlimPipe, 1, 0.1)))
+            b.iter(|| {
+                black_box(
+                    try_run_pipeline_traced(&cfg, PipelineKind::SlimPipe, 1, 0.1, &off)
+                        .expect("clean run"),
+                )
+            })
         });
     }
     g.finish();

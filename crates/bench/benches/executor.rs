@@ -10,9 +10,9 @@ use slimpipe_exec::checkpoint::snapshot_path;
 use slimpipe_exec::fault::InjectedPanic;
 use slimpipe_exec::model::{CheckpointCfg, ExecConfig};
 use slimpipe_exec::schedule::PipelineKind;
-use slimpipe_exec::train::{run_pipeline, run_reference, try_run_pipeline_traced};
+use slimpipe_exec::train::{run_reference, try_run_pipeline_traced, RunResult};
 use slimpipe_exec::{
-    run_elastic, DegradePolicy, DriverCfg, FaultKind, FaultPlan, FaultSite, ShrinkReplanner,
+    run_elastic_traced, DegradePolicy, DriverCfg, FaultKind, FaultPlan, FaultSite, ShrinkReplanner,
     SlicePolicy, TraceSession,
 };
 use slimpipe_tensor::pool;
@@ -25,6 +25,11 @@ fn cfg() -> ExecConfig {
         microbatches: 2,
         ..ExecConfig::small()
     }
+}
+
+/// One untraced training step of a known-clean config.
+fn step(cfg: &ExecConfig, kind: PipelineKind) -> RunResult {
+    try_run_pipeline_traced(cfg, kind, 1, 0.1, &TraceSession::disabled()).expect("clean run")
 }
 
 fn bench_reference(c: &mut Criterion) {
@@ -48,7 +53,7 @@ fn bench_pipelines(c: &mut Criterion) {
     ] {
         let c2 = ExecConfig { slices, ..base.clone() };
         g.bench_with_input(BenchmarkId::new("scheme", name), &kind, |b, &k| {
-            b.iter(|| black_box(run_pipeline(&c2, k, 1, 0.1)))
+            b.iter(|| black_box(step(&c2, k)))
         });
     }
     g.finish();
@@ -66,7 +71,7 @@ fn bench_feature_toggles(c: &mut Criterion) {
     ] {
         let c2 = ExecConfig { exchange, vocab_parallel: vp, ..base.clone() };
         g.bench_with_input(BenchmarkId::new("features", name), &name, |b, _| {
-            b.iter(|| black_box(run_pipeline(&c2, PipelineKind::SlimPipe, 1, 0.1)))
+            b.iter(|| black_box(step(&c2, PipelineKind::SlimPipe)))
         });
     }
     g.finish();
@@ -88,12 +93,12 @@ fn bench_slicing_policies(c: &mut Criterion) {
     ] {
         let c2 = ExecConfig { slicing: policy, ..base.clone() };
         g.bench_with_input(BenchmarkId::new("policy", tag), &tag, |b, _| {
-            b.iter(|| black_box(run_pipeline(&c2, PipelineKind::SlimPipe, 1, 0.1)))
+            b.iter(|| black_box(step(&c2, PipelineKind::SlimPipe)))
         });
     }
     let ragged = ExecConfig { mb_seqs: Some(vec![48, 80]), ..base };
     g.bench_with_input(BenchmarkId::new("policy", "uniform_ragged"), &0, |b, _| {
-        b.iter(|| black_box(run_pipeline(&ragged, PipelineKind::SlimPipe, 1, 0.1)))
+        b.iter(|| black_box(step(&ragged, PipelineKind::SlimPipe)))
     });
     g.finish();
 }
@@ -126,10 +131,10 @@ fn bench_fault_overhead(c: &mut Criterion) {
             ..clean.clone()
         };
         g.bench_with_input(BenchmarkId::new("clean", name), &name, |b, _| {
-            b.iter(|| black_box(run_pipeline(&clean, PipelineKind::SlimPipe, 1, 0.1)))
+            b.iter(|| black_box(step(&clean, PipelineKind::SlimPipe)))
         });
         g.bench_with_input(BenchmarkId::new("armed", name), &name, |b, _| {
-            b.iter(|| black_box(run_pipeline(&armed, PipelineKind::SlimPipe, 1, 0.1)))
+            b.iter(|| black_box(step(&armed, PipelineKind::SlimPipe)))
         });
     }
     g.finish();
@@ -149,10 +154,10 @@ fn bench_async_overlap(c: &mut Criterion) {
     let serialized = ExecConfig { async_exchange: false, ..base.clone() };
     let overlapped = ExecConfig { async_exchange: true, ..base };
     g.bench_function("serialized", |b| {
-        b.iter(|| black_box(run_pipeline(&serialized, PipelineKind::SlimPipe, 1, 0.1)))
+        b.iter(|| black_box(step(&serialized, PipelineKind::SlimPipe)))
     });
     g.bench_function("overlapped", |b| {
-        b.iter(|| black_box(run_pipeline(&overlapped, PipelineKind::SlimPipe, 1, 0.1)))
+        b.iter(|| black_box(step(&overlapped, PipelineKind::SlimPipe)))
     });
     g.finish();
 }
@@ -192,13 +197,14 @@ fn bench_recovery(c: &mut Criterion) {
         )),
         ..base.clone()
     };
+    let (driver, off) = (DriverCfg::default(), TraceSession::disabled());
     let mut g = c.benchmark_group("executor_recovery");
     g.sample_size(10);
     g.bench_function("clean", |b| {
         b.iter(|| {
             clean_files();
             black_box(
-                run_elastic(&base, &DriverCfg::default(), 6, 0.1, &mut ShrinkReplanner)
+                run_elastic_traced(&base, &driver, 6, 0.1, &mut ShrinkReplanner, &off)
                     .expect("clean supervised run"),
             )
         })
@@ -207,7 +213,7 @@ fn bench_recovery(c: &mut Criterion) {
         b.iter(|| {
             clean_files();
             black_box(
-                run_elastic(&faulty, &DriverCfg::default(), 6, 0.1, &mut ShrinkReplanner)
+                run_elastic_traced(&faulty, &driver, 6, 0.1, &mut ShrinkReplanner, &off)
                     .expect("recoverable fault must heal"),
             )
         })
@@ -216,7 +222,7 @@ fn bench_recovery(c: &mut Criterion) {
     clean_files();
 }
 
-/// The tracing tax: identical SlimPipe steps untraced (env hook unset —
+/// The tracing tax: identical SlimPipe steps untraced (a disabled session —
 /// the recorder's `clock()` is a `None` branch, no clock reads, no
 /// locking) vs. recording into a live session every iteration.
 /// `bench_check` holds traced within the 10% noise gate of untraced —
@@ -226,7 +232,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
     g.sample_size(10);
     let base = ExecConfig { slices: 8, exchange: true, ..cfg() };
     g.bench_function("untraced", |b| {
-        b.iter(|| black_box(run_pipeline(&base, PipelineKind::SlimPipe, 1, 0.1)))
+        b.iter(|| black_box(step(&base, PipelineKind::SlimPipe)))
     });
     g.bench_function("traced", |b| {
         b.iter(|| {

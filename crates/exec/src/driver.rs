@@ -1,7 +1,7 @@
 //! Elastic recovery driver: supervise → fail → re-plan → restore →
 //! continue.
 //!
-//! [`run_elastic`] runs a multi-iteration job and, when the run dies with a
+//! [`run_elastic_traced`] runs a multi-iteration job and, when it dies with a
 //! *recoverable* [`ExecError`] (a contained [`ExecError::StagePanic`], a
 //! dead compute server, a wedged or retry-exhausted exchange — see
 //! [`ExecError::is_recoverable`]), it shrinks the pipeline onto the
@@ -33,10 +33,7 @@ use crate::checkpoint::CheckpointState;
 use crate::fault::{ExecError, FaultKind, FaultPlan, FaultSite};
 use crate::model::ExecConfig;
 use crate::schedule::PipelineKind;
-use crate::train::{
-    try_resume_pipeline_from_traced, try_run_pipeline_traced, with_env_fault_plan, with_env_trace,
-    RunResult,
-};
+use crate::train::{try_resume_pipeline_from_traced, try_run_pipeline_traced, RunResult};
 use slimpipe_obs::{counters as obs_counters, RecoveryPhase, SpanKind, TraceSession};
 use std::fmt;
 use std::sync::Arc;
@@ -242,21 +239,10 @@ fn check_replanned(
 /// from the newest checkpoint. Returns the last run's [`RunResult`] plus
 /// the [`RecoveryLog`]; unrecoverable errors (and recoverable ones past
 /// the retry budget or below `min_stages`) surface as `Err` — structured,
-/// never a hang or a panic.
-pub fn run_elastic(
-    cfg: &ExecConfig,
-    driver: &DriverCfg,
-    steps: usize,
-    lr: f32,
-    replanner: &mut dyn Replanner,
-) -> Result<DriverOutcome, ExecError> {
-    with_env_trace(|trace| run_elastic_traced(cfg, driver, steps, lr, replanner, trace))
-}
-
-/// [`run_elastic`] recording into an explicit trace session. One session
-/// spans every attempt, so a healed run's trace shows the failed attempt's
-/// spans, the `Recovery` transition spans on the `driver` track, and the
-/// resumed run, in one timeline.
+/// never a hang or a panic. One trace session spans every attempt, so a
+/// healed run's trace shows the failed attempt's spans, the `Recovery`
+/// transition spans on the `driver` track, and the resumed run, in one
+/// timeline.
 pub fn run_elastic_traced(
     cfg: &ExecConfig,
     driver: &DriverCfg,
@@ -265,9 +251,7 @@ pub fn run_elastic_traced(
     replanner: &mut dyn Replanner,
     trace: &Arc<TraceSession>,
 ) -> Result<DriverOutcome, ExecError> {
-    // Adopt the env fault plan here so the supervise loop sees (and can
-    // disarm) the same schedule the runs execute.
-    let mut cfg = with_env_fault_plan(cfg)?;
+    let mut cfg = cfg.clone();
     let mut rec = trace.recorder("driver");
     let mut log = RecoveryLog::default();
     let mut attempt = 0usize;
@@ -302,15 +286,10 @@ pub fn run_elastic_traced(
         attempt += 1;
         obs_counters::RECOVERIES.incr();
         // Disarm before re-planning: the replanner validates its output,
-        // and sites naming dead stages would (rightly) fail validation. A
-        // fully-disarmed plan stays `Some(empty)` rather than `None`, so
-        // the healed run cannot re-adopt the env plan and re-fire.
+        // and sites naming dead stages would (rightly) fail validation.
         let t_replan = rec.clock();
         let mut base = cfg.clone();
-        base.fault_plan = base
-            .fault_plan
-            .as_ref()
-            .map(|p| disarm(p, &err, survivors).unwrap_or_default());
+        base.fault_plan = base.fault_plan.as_ref().and_then(|p| disarm(p, &err, survivors));
         let mut new_cfg = replanner.replan(&base, survivors)?;
         // Durability policy and the (disarmed) fault schedule are the
         // driver's to carry across the transition, not the replanner's.

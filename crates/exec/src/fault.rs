@@ -263,9 +263,8 @@ impl FaultPlan {
 
     /// The `SLIMPIPE_FAULT_PLAN` hook: a value starting with `{` is inline
     /// JSON, anything else is a path to a JSON file. Returns `Ok(None)`
-    /// when unset or empty. Consulted by `try_run_pipeline` /
-    /// `try_resume_pipeline` and the recovery driver only when the config
-    /// carries no explicit plan.
+    /// when unset or empty. No entry point consults it: a caller that wants
+    /// the hook puts the result in `ExecConfig::fault_plan` itself.
     pub fn from_env() -> Result<Option<Self>, String> {
         let v = match std::env::var("SLIMPIPE_FAULT_PLAN") {
             Ok(v) if !v.trim().is_empty() => v,

@@ -3,7 +3,7 @@
 //! This crate *runs* SlimPipe rather than modelling it: OS threads are the
 //! pipeline devices, crossbeam channels are the interconnect, and a real
 //! (small) Llama-style transformer trains across them in f32. Everything
-//! §4 and §5 of the paper describe is executed for real:
+//! §4 of the paper describes is executed for real:
 //!
 //! * uniform sequence slicing with the slice-wise 1F1B schedule (the op
 //!   lists come from the same generators the simulator uses),
@@ -17,10 +17,9 @@
 //!   only,
 //! * byte-exact activation accounting per device.
 //!
-//! [`ringcp`] additionally implements §5's *commutated context
-//! parallelism*: ring attention that rotates (Q, O, normaliser) instead of
-//! cached key/value, with byte-exact communication meters demonstrating the
-//! cache-independence claim.
+//! §5's commutated context parallelism is priced analytically by
+//! `slimpipe_sim::cost`, not executed here. The run entry points take
+//! every input as an argument and read no environment.
 //!
 //! The harness in [`verify`] proves numerical equivalence: a pipeline run
 //! (any scheme, any slicing, exchange on or off) produces the same losses
@@ -34,7 +33,6 @@ pub mod fault;
 pub mod layer;
 pub mod model;
 pub mod offload;
-pub mod ringcp;
 pub mod schedule;
 pub mod stage;
 pub mod train;
@@ -42,8 +40,8 @@ pub mod verify;
 
 pub use checkpoint::CheckpointState;
 pub use driver::{
-    run_elastic, run_elastic_traced, DriverCfg, DriverOutcome, RecoveryEvent, RecoveryLog,
-    Replanner, ShrinkReplanner,
+    run_elastic_traced, DriverCfg, DriverOutcome, RecoveryEvent, RecoveryLog, Replanner,
+    ShrinkReplanner,
 };
 pub use fault::{DegradePolicy, ExecError, FaultKind, FaultPlan, FaultSite};
 pub use model::{CheckpointCfg, ExecConfig};
@@ -51,7 +49,6 @@ pub use slimpipe_core::{SlicePolicy, Slicing};
 pub use slimpipe_obs as obs;
 pub use slimpipe_obs::TraceSession;
 pub use train::{
-    approx_flops_per_iteration, run_pipeline, run_reference, try_resume_pipeline,
-    try_resume_pipeline_from, try_resume_pipeline_from_traced, try_run_pipeline,
+    approx_flops_per_iteration, run_reference, try_resume_pipeline_from_traced,
     try_run_pipeline_traced, RunMetrics, RunResult,
 };

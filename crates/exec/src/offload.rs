@@ -96,8 +96,8 @@ impl OffloadEngine {
 mod tests {
     use crate::model::ExecConfig;
     use crate::schedule::PipelineKind;
-    use crate::train::{run_pipeline, run_reference};
-    use crate::verify::assert_equivalent;
+    use crate::train::run_reference;
+    use crate::verify::{assert_equivalent, run};
 
     fn cfg(budget: Option<u64>) -> ExecConfig {
         ExecConfig {
@@ -113,14 +113,14 @@ mod tests {
     fn offload_preserves_numerics_exactly() {
         let want = run_reference(&cfg(None), 2, 0.2);
         // A budget tight enough to force spilling on device 0.
-        let got = run_pipeline(&cfg(Some(80_000)), PipelineKind::SlimPipe, 2, 0.2);
+        let got = run(&cfg(Some(80_000)), PipelineKind::SlimPipe, 2, 0.2).unwrap();
         assert_equivalent(&got, &want, 3e-3);
     }
 
     #[test]
     fn offload_cuts_peak_and_costs_transfers() {
-        let base = run_pipeline(&cfg(None), PipelineKind::SlimPipe, 1, 0.1);
-        let off = run_pipeline(&cfg(Some(80_000)), PipelineKind::SlimPipe, 1, 0.1);
+        let base = run(&cfg(None), PipelineKind::SlimPipe, 1, 0.1).unwrap();
+        let off = run(&cfg(Some(80_000)), PipelineKind::SlimPipe, 1, 0.1).unwrap();
         assert!(
             off.peak_act_bytes[0] < base.peak_act_bytes[0],
             "offload should lower the device peak: {} vs {}",
@@ -133,7 +133,7 @@ mod tests {
 
     #[test]
     fn generous_budget_never_spills() {
-        let r = run_pipeline(&cfg(Some(u64::MAX)), PipelineKind::SlimPipe, 1, 0.1);
+        let r = run(&cfg(Some(u64::MAX)), PipelineKind::SlimPipe, 1, 0.1).unwrap();
         assert!(r.offload_transferred.iter().all(|&t| t == 0));
     }
 }

@@ -21,8 +21,13 @@
 //!   messages propagate the drain upstream) and the surviving gradients and
 //!   loss are rescaled to the exact mean over surviving tokens;
 //! * at iteration boundaries the run snapshots to [`CheckpointCfg::path`];
-//!   [`try_resume_pipeline`] continues from the snapshot **bit-identically**
-//!   to the uninterrupted run (asserted in `tests/faults.rs`).
+//!   [`try_resume_pipeline_from_traced`] continues from the snapshot
+//!   **bit-identically** to the uninterrupted run (`tests/faults.rs`).
+//!
+//! The entry points read no environment: `cfg.fault_plan: None` means no
+//! faults and a disabled session means no tracing. Callers that want the
+//! `SLIMPIPE_FAULT_PLAN` / `SLIMPIPE_TRACE` hooks build them with
+//! [`crate::FaultPlan::from_env`] and [`TraceSession::from_env`].
 //!
 //! Checkpointing splits the run into segments: stage threads return their
 //! [`Stage`] values at each boundary (a full synchronization point — no
@@ -37,7 +42,7 @@ use crate::comm::{
 };
 use crate::fault::{
     panic_message, recv_guarded, recv_guarded_pumped, DegradePolicy, ExecError, FaultKind,
-    FaultPlan, FaultStats, InjectedPanic, Port, RunCtl, ABORT_POLL,
+    FaultStats, InjectedPanic, Port, RunCtl, ABORT_POLL,
 };
 use crate::layer::{AttnExecutor, LayerGrads, LocalAttn};
 use crate::model::ExecConfig;
@@ -1213,47 +1218,13 @@ fn run_from_inner(
     })
 }
 
-/// A config with the `SLIMPIPE_FAULT_PLAN` env hook applied: when the
-/// config carries no explicit plan and the env names one, the env plan is
-/// adopted (and then validated like any other, so a plan written against
-/// the wrong geometry reports `InvalidConfig`, not silence).
-pub(crate) fn with_env_fault_plan(cfg: &ExecConfig) -> Result<ExecConfig, ExecError> {
-    let mut cfg = cfg.clone();
-    if cfg.fault_plan.is_none() {
-        cfg.fault_plan = FaultPlan::from_env().map_err(ExecError::InvalidConfig)?;
-    }
-    Ok(cfg)
-}
-
-/// Run `f` under the session the `SLIMPIPE_TRACE` hook selects, then write
-/// the Chrome trace when the hook named a path — on error too: the trace
-/// of a failed run is the one you most want to look at.
-pub(crate) fn with_env_trace<T>(f: impl FnOnce(&Arc<TraceSession>) -> T) -> T {
-    let (trace, path) = TraceSession::from_env();
-    let out = f(&trace);
-    if let Some(p) = path {
-        let _ = slimpipe_obs::chrome::write_chrome_trace(&trace.report(), &p);
-    }
-    out
-}
-
-/// Run `steps` training iterations of `cfg` under `kind`. The gradients of
-/// the final iteration are returned un-stepped so they can be compared
-/// across configurations. Every failure mode — injected or real — returns
-/// a structured [`ExecError`]; the process neither hangs nor aborts.
-pub fn try_run_pipeline(
-    cfg: &ExecConfig,
-    kind: PipelineKind,
-    steps: usize,
-    lr: f32,
-) -> Result<RunResult, ExecError> {
-    with_env_trace(|trace| try_run_pipeline_traced(cfg, kind, steps, lr, trace))
-}
-
-/// [`try_run_pipeline`] recording into an explicit trace session (the
-/// programmatic tracing entry; the env-hooked wrapper builds the session
-/// from `SLIMPIPE_TRACE`). Tracing is determinism-neutral: a traced run is
-/// bit-identical to an untraced one (asserted in `tests/trace.rs`).
+/// Run `steps` training iterations of `cfg` under `kind`, recording spans
+/// into `trace` (pass [`TraceSession::disabled`] for an untraced run). The
+/// gradients of the final iteration are returned un-stepped so they can be
+/// compared across configurations. Every failure mode — injected or real —
+/// returns a structured [`ExecError`]; the process neither hangs nor
+/// aborts. Tracing is determinism-neutral: a traced run is bit-identical
+/// to an untraced one (asserted in `tests/trace.rs`).
 pub fn try_run_pipeline_traced(
     cfg: &ExecConfig,
     kind: PipelineKind,
@@ -1261,54 +1232,24 @@ pub fn try_run_pipeline_traced(
     lr: f32,
     trace: &Arc<TraceSession>,
 ) -> Result<RunResult, ExecError> {
-    let cfg = with_env_fault_plan(cfg)?;
     cfg.validate().map_err(ExecError::InvalidConfig)?;
     if steps == 0 {
         return Err(ExecError::InvalidConfig("steps must be >= 1".into()));
     }
-    let shards = cfg.vocab_parallel.then(|| build_vocab_shards(&cfg));
-    run_from(&cfg, kind, 0, steps, lr, None, shards, trace)
+    let shards = cfg.vocab_parallel.then(|| build_vocab_shards(cfg));
+    run_from(cfg, kind, 0, steps, lr, None, shards, trace)
 }
 
-/// Resume a run from the newest usable snapshot under
-/// `cfg.checkpoint.path` (the retention manifest, with fallback to the
-/// newest verifying sibling — see `crate::checkpoint`) and train to
-/// `steps` total iterations. The returned losses cover only the resumed
-/// iterations, and the result is **bit-identical** to the corresponding
-/// tail of an uninterrupted [`try_run_pipeline`] run: exact f32 bit
-/// patterns are restored, repacking is deterministic, the optimizer is
-/// stateless, and data is a pure function of `(seed, mb)`.
-pub fn try_resume_pipeline(
-    cfg: &ExecConfig,
-    kind: PipelineKind,
-    steps: usize,
-    lr: f32,
-) -> Result<RunResult, ExecError> {
-    let ck = cfg
-        .checkpoint
-        .as_ref()
-        .ok_or_else(|| ExecError::Checkpoint("resume requires cfg.checkpoint".into()))?;
-    let state = CheckpointState::load_latest(ck, cfg)?;
-    try_resume_pipeline_from(cfg, kind, steps, lr, state)
-}
-
-/// Resume from an explicit in-memory snapshot (the recovery driver's path,
-/// and the comparison arm of the determinism tests, which pin a specific
-/// `{path}.it{N}` snapshot instead of whatever `latest` points at). A
+/// Resume from a snapshot (from [`CheckpointState::load_latest`], or a
+/// pinned `{path}.it{N}` via [`CheckpointState::load`]) and train to
+/// `steps` total iterations — the recovery driver's restore path. The
+/// returned losses cover only the resumed iterations, and the result is
+/// **bit-identical** to the corresponding tail of an uninterrupted run:
+/// exact f32 bit patterns are restored, repacking is deterministic, the
+/// optimizer is stateless, and data is a pure function of `(seed, mb)`. A
 /// snapshot captured at a different pipeline geometry is re-sharded onto
 /// `cfg`'s via [`CheckpointState::regroup`] — elastic restore is this one
 /// line, not a parallel code path.
-pub fn try_resume_pipeline_from(
-    cfg: &ExecConfig,
-    kind: PipelineKind,
-    steps: usize,
-    lr: f32,
-    state: CheckpointState,
-) -> Result<RunResult, ExecError> {
-    with_env_trace(|trace| try_resume_pipeline_from_traced(cfg, kind, steps, lr, state, trace))
-}
-
-/// [`try_resume_pipeline_from`] recording into an explicit trace session.
 pub fn try_resume_pipeline_from_traced(
     cfg: &ExecConfig,
     kind: PipelineKind,
@@ -1317,12 +1258,11 @@ pub fn try_resume_pipeline_from_traced(
     state: CheckpointState,
     trace: &Arc<TraceSession>,
 ) -> Result<RunResult, ExecError> {
-    let cfg = with_env_fault_plan(cfg)?;
     cfg.validate().map_err(ExecError::InvalidConfig)?;
     let state = if state.stages.len() != cfg.stages
         || state.shards.is_some() != cfg.vocab_parallel
     {
-        state.regroup(&cfg)?
+        state.regroup(cfg)?
     } else {
         state
     };
@@ -1333,26 +1273,19 @@ pub fn try_resume_pipeline_from_traced(
         )));
     }
     let shards = if cfg.vocab_parallel {
-        Some(state.to_shards(&cfg).ok_or_else(|| {
+        Some(state.to_shards(cfg).ok_or_else(|| {
             ExecError::Checkpoint("vocab-parallel resume needs shard states".into())
         })?)
     } else {
         None
     };
-    run_from(&cfg, kind, start, steps, lr, Some(Arc::new(state)), shards, trace)
+    run_from(cfg, kind, start, steps, lr, Some(Arc::new(state)), shards, trace)
 }
 
-/// [`try_run_pipeline`] for callers that treat any failure as fatal (the
-/// historical API; tests and benches use it for known-clean configs).
-pub fn run_pipeline(cfg: &ExecConfig, kind: PipelineKind, steps: usize, lr: f32) -> RunResult {
-    try_run_pipeline(cfg, kind, steps, lr)
-        .unwrap_or_else(|e| panic!("pipeline run failed: {e}"))
-}
-
-/// Single-device, unsliced reference run — the ground truth every pipeline
-/// configuration is verified against. Fault injection, degradation, and
-/// checkpointing are stripped: the reference must stay the clean baseline
-/// even when `cfg` carries a fault plan.
+/// Single-device, unsliced, untraced reference run — the ground truth
+/// every pipeline configuration is verified against. Fault injection,
+/// degradation, and checkpointing are stripped: the reference must stay
+/// the clean baseline even when `cfg` carries a fault plan.
 pub fn run_reference(cfg: &ExecConfig, steps: usize, lr: f32) -> RunResult {
     let ref_cfg = ExecConfig {
         stages: 1,
@@ -1366,12 +1299,14 @@ pub fn run_reference(cfg: &ExecConfig, steps: usize, lr: f32) -> RunResult {
         checkpoint: None,
         ..cfg.clone()
     };
-    run_pipeline(&ref_cfg, PipelineKind::OneFOneB, steps, lr)
+    try_run_pipeline_traced(&ref_cfg, PipelineKind::OneFOneB, steps, lr, &TraceSession::disabled())
+        .unwrap_or_else(|e| panic!("reference run failed: {e}"))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::verify::run;
 
     #[test]
     fn reference_runs_and_learns() {
@@ -1389,7 +1324,7 @@ mod tests {
             exchange: false,
             ..ExecConfig::small()
         };
-        let r = run_pipeline(&cfg, PipelineKind::SlimPipe, 1, 0.1);
+        let r = run(&cfg, PipelineKind::SlimPipe, 1, 0.1).unwrap();
         assert_eq!(r.losses.len(), 1);
         assert!(r.losses[0].is_finite());
         assert_eq!(r.peak_act_bytes.len(), cfg.stages);
@@ -1399,7 +1334,7 @@ mod tests {
     #[test]
     fn zero_steps_is_a_structured_error() {
         let cfg = ExecConfig::small();
-        match try_run_pipeline(&cfg, PipelineKind::SlimPipe, 0, 0.1) {
+        match run(&cfg, PipelineKind::SlimPipe, 0, 0.1) {
             Err(ExecError::InvalidConfig(_)) => {}
             other => panic!("expected InvalidConfig, got {:?}", other.map(|_| "ok")),
         }

@@ -7,8 +7,25 @@
 //! computation — the paper's schedule changes *when and where* math
 //! happens, never *what* is computed.
 
-use crate::train::RunResult;
+use crate::fault::ExecError;
+use crate::model::ExecConfig;
+use crate::schedule::PipelineKind;
+use crate::train::{try_run_pipeline_traced, RunResult};
+use slimpipe_obs::TraceSession;
 use slimpipe_tensor::Tensor;
+
+/// The test suites' run: [`try_run_pipeline_traced`] recording into the
+/// session the `SLIMPIPE_TRACE` hook selects, so setting that one variable
+/// traces every suite (the determinism matrix's trace leg) and proves
+/// tracing determinism-neutral. Nothing is written to the named path.
+pub fn run(
+    cfg: &ExecConfig,
+    kind: PipelineKind,
+    steps: usize,
+    lr: f32,
+) -> Result<RunResult, ExecError> {
+    try_run_pipeline_traced(cfg, kind, steps, lr, &TraceSession::from_env().0)
+}
 
 /// Worst relative deviation between two runs.
 #[derive(Clone, Debug)]
@@ -111,9 +128,7 @@ pub fn assert_bit_identical(got: &RunResult, want: &RunResult) {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::ExecConfig;
-    use crate::schedule::PipelineKind;
-    use crate::train::{run_pipeline, run_reference};
+    use crate::train::run_reference;
 
     /// The cornerstone test: SlimPipe (slicing + LIFO + chunked KV across
     /// two threads) reproduces the reference exactly.
@@ -121,7 +136,7 @@ mod tests {
     fn slimpipe_matches_reference() {
         let cfg = ExecConfig::small();
         let want = run_reference(&cfg, 2, 0.2);
-        let got = run_pipeline(&cfg, PipelineKind::SlimPipe, 2, 0.2);
+        let got = run(&cfg, PipelineKind::SlimPipe, 2, 0.2).unwrap();
         assert_equivalent(&got, &want, 2e-3);
     }
 
@@ -134,7 +149,7 @@ mod tests {
             ..ExecConfig::small()
         };
         let want = run_reference(&cfg, 1, 0.2);
-        let got = run_pipeline(&cfg, PipelineKind::SlimPipe, 1, 0.2);
+        let got = run(&cfg, PipelineKind::SlimPipe, 1, 0.2).unwrap();
         assert_equivalent(&got, &want, 2e-3);
     }
 
@@ -147,7 +162,7 @@ mod tests {
             ..ExecConfig::small()
         };
         let want = run_reference(&cfg, 1, 0.2);
-        let got = run_pipeline(&cfg, PipelineKind::SlimPipe, 1, 0.2);
+        let got = run(&cfg, PipelineKind::SlimPipe, 1, 0.2).unwrap();
         assert_equivalent(&got, &want, 2e-3);
     }
 
@@ -164,7 +179,7 @@ mod tests {
             ..ExecConfig::small()
         };
         let want = run_reference(&cfg, 2, 0.2);
-        let got = run_pipeline(&cfg, PipelineKind::SlimPipe, 2, 0.2);
+        let got = run(&cfg, PipelineKind::SlimPipe, 2, 0.2).unwrap();
         assert_equivalent(&got, &want, 3e-3);
     }
 
@@ -176,7 +191,7 @@ mod tests {
             ..ExecConfig::small()
         };
         let want = run_reference(&cfg, 1, 0.2);
-        let got = run_pipeline(&cfg, PipelineKind::OneFOneB, 1, 0.2);
+        let got = run(&cfg, PipelineKind::OneFOneB, 1, 0.2).unwrap();
         assert_equivalent(&got, &want, 2e-3);
     }
 
@@ -185,13 +200,13 @@ mod tests {
         let base = ExecConfig::small();
         let g = ExecConfig { slices: 1, microbatches: 3, ..base.clone() };
         assert_equivalent(
-            &run_pipeline(&g, PipelineKind::GPipe, 1, 0.2),
+            &run(&g, PipelineKind::GPipe, 1, 0.2).unwrap(),
             &run_reference(&g, 1, 0.2),
             2e-3,
         );
         let t = ExecConfig { slices: 4, microbatches: 2, ..base.clone() };
         assert_equivalent(
-            &run_pipeline(&t, PipelineKind::TeraPipe, 1, 0.2),
+            &run(&t, PipelineKind::TeraPipe, 1, 0.2).unwrap(),
             &run_reference(&t, 1, 0.2),
             2e-3,
         );
@@ -208,8 +223,8 @@ mod tests {
             ..ExecConfig::small()
         };
         let classic_cfg = ExecConfig { slices: 1, ..slim_cfg.clone() };
-        let slim = run_pipeline(&slim_cfg, PipelineKind::SlimPipe, 1, 0.1);
-        let classic = run_pipeline(&classic_cfg, PipelineKind::OneFOneB, 1, 0.1);
+        let slim = run(&slim_cfg, PipelineKind::SlimPipe, 1, 0.1).unwrap();
+        let classic = run(&classic_cfg, PipelineKind::OneFOneB, 1, 0.1).unwrap();
         // Eq. 1: (n + 2(p-1))/n / p = (8+2)/8/2 = 0.625 of classic's
         // p-microbatch accumulation (plus the head stash on the last
         // device, which slicing also shrinks).
@@ -227,8 +242,8 @@ mod tests {
             microbatches: 4,
             ..ExecConfig::small()
         };
-        let slim = run_pipeline(&cfg, PipelineKind::SlimPipe, 1, 0.1);
-        let tera = run_pipeline(&cfg, PipelineKind::TeraPipe, 1, 0.1);
+        let slim = run(&cfg, PipelineKind::SlimPipe, 1, 0.1).unwrap();
+        let tera = run(&cfg, PipelineKind::TeraPipe, 1, 0.1).unwrap();
         let ratio = slim.peak_act_bytes[0] as f64 / tera.peak_act_bytes[0] as f64;
         assert!(ratio < 0.5, "device-0 peak ratio vs TeraPipe {ratio}");
     }

@@ -9,8 +9,8 @@
 use slimpipe_exec::comm::ExchangeMap;
 use slimpipe_exec::model::ExecConfig;
 use slimpipe_exec::schedule::PipelineKind;
-use slimpipe_exec::train::{run_pipeline, run_reference, try_run_pipeline};
-use slimpipe_exec::verify::assert_bit_identical;
+use slimpipe_exec::train::run_reference;
+use slimpipe_exec::verify::{self, assert_bit_identical};
 use slimpipe_exec::{DegradePolicy, ExecError, FaultKind, FaultPlan, FaultSite};
 use std::sync::Mutex;
 
@@ -72,23 +72,24 @@ fn async_regime_is_bit_identical_across_widths_and_transports() {
     let overlapped = exchange_cfg(true);
     let want = run_reference(&overlapped, 2, 0.2);
     rayon::set_num_threads(1);
-    let narrow = run_pipeline(&overlapped, PipelineKind::SlimPipe, 2, 0.2);
+    let narrow = verify::run(&overlapped, PipelineKind::SlimPipe, 2, 0.2).unwrap();
     rayon::set_num_threads(0);
     for threads in [1usize, 4] {
         rayon::set_num_threads(threads);
-        let asynchronous = run_pipeline(&overlapped, PipelineKind::SlimPipe, 2, 0.2);
-        let serialized = run_pipeline(&exchange_cfg(false), PipelineKind::SlimPipe, 2, 0.2);
-        let local = run_pipeline(
+        let asynchronous = verify::run(&overlapped, PipelineKind::SlimPipe, 2, 0.2).unwrap();
+        let serialized = verify::run(&exchange_cfg(false), PipelineKind::SlimPipe, 2, 0.2).unwrap();
+        let local = verify::run(
             &ExecConfig { exchange: false, ..overlapped.clone() },
             PipelineKind::SlimPipe,
             2,
             0.2,
-        );
+        )
+        .unwrap();
         rayon::set_num_threads(0);
         assert_bit_identical(&asynchronous, &narrow);
         assert_bit_identical(&serialized, &narrow);
         assert_bit_identical(&local, &narrow);
-        let c = slimpipe_exec::verify::compare(&asynchronous, &want);
+        let c = verify::compare(&asynchronous, &want);
         assert!(
             c.max_loss_diff < 3e-3 && c.worst_grad_rel < 3e-3,
             "threads={threads}: loss diff {} / worst grad {} at {}",
@@ -105,13 +106,13 @@ fn async_regime_is_bit_identical_across_widths_and_transports() {
 #[test]
 fn posted_sends_counter_tracks_the_regime() {
     let _g = width_lock();
-    let asynchronous = run_pipeline(&exchange_cfg(true), PipelineKind::SlimPipe, 1, 0.2);
+    let asynchronous = verify::run(&exchange_cfg(true), PipelineKind::SlimPipe, 1, 0.2).unwrap();
     assert!(
         asynchronous.posted_sends > 0,
         "async run posted no boundary sends (counter stuck at 0)"
     );
     assert_eq!(asynchronous.fault_stats, Default::default(), "clean async run degraded");
-    let serialized = run_pipeline(&exchange_cfg(false), PipelineKind::SlimPipe, 1, 0.2);
+    let serialized = verify::run(&exchange_cfg(false), PipelineKind::SlimPipe, 1, 0.2).unwrap();
     assert_eq!(serialized.posted_sends, 0, "serialized run must never post");
     assert_eq!(serialized.fault_stats, Default::default(), "clean serialized run degraded");
 }
@@ -128,13 +129,13 @@ fn reply_faults_recover_under_both_regimes() {
     for asynchronous in [true, false] {
         let base = exchange_cfg(asynchronous);
         let (st, sl, peer) = remote_site(&base);
-        let clean = run_pipeline(&base, PipelineKind::SlimPipe, 1, 0.2);
+        let clean = verify::run(&base, PipelineKind::SlimPipe, 1, 0.2).unwrap();
         for kind in [FaultKind::DropReply, FaultKind::DelayReply { ms: 250 }] {
             let cfg = ExecConfig {
                 fault_plan: Some(FaultPlan::single(site(0, st, 0, sl), kind.clone())),
                 ..base.clone()
             };
-            let r = try_run_pipeline(&cfg, PipelineKind::SlimPipe, 1, 0.2)
+            let r = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2)
                 .unwrap_or_else(|e| panic!("async={asynchronous} {kind:?}: {e}"));
             assert!(
                 r.fault_stats.exchange_retries >= 1,
@@ -146,7 +147,7 @@ fn reply_faults_recover_under_both_regimes() {
         // recompute under the degrading policies.
         let plan = FaultPlan::single(site(0, st, 0, sl), FaultKind::ServerDeath { device: peer });
         let cfg = ExecConfig { fault_plan: Some(plan.clone()), ..base.clone() };
-        let err = try_run_pipeline(&cfg, PipelineKind::SlimPipe, 1, 0.2)
+        let err = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2)
             .expect_err("abort policy must surface the dead server");
         assert!(
             matches!(err, ExecError::ServerDied { .. } | ExecError::ExchangeTimeout { .. }),
@@ -154,7 +155,7 @@ fn reply_faults_recover_under_both_regimes() {
         );
         for policy in [DegradePolicy::SkipMicrobatch, DegradePolicy::LocalFallback] {
             let cfg = ExecConfig { policy, fault_plan: Some(plan.clone()), ..base.clone() };
-            let r = try_run_pipeline(&cfg, PipelineKind::SlimPipe, 1, 0.2)
+            let r = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2)
                 .expect("degrading policy must survive a dead server");
             assert!(r.fault_stats.local_fallbacks >= 1, "async={asynchronous} {policy:?}");
             assert_bit_identical(&r, &clean);
@@ -174,13 +175,13 @@ fn recovered_retry_counts_once_and_leaves_the_cursor_clean() {
     let _g = width_lock();
     let base = exchange_cfg(true);
     let (st, sl, _) = remote_site(&base);
-    let clean = run_pipeline(&base, PipelineKind::SlimPipe, 1, 0.2);
+    let clean = verify::run(&base, PipelineKind::SlimPipe, 1, 0.2).unwrap();
     for kind in [FaultKind::DropReply, FaultKind::DelayReply { ms: 250 }] {
         let cfg = ExecConfig {
             fault_plan: Some(FaultPlan::single(site(0, st, 0, sl), kind.clone())),
             ..base.clone()
         };
-        let r = try_run_pipeline(&cfg, PipelineKind::SlimPipe, 1, 0.2)
+        let r = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2)
             .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
         assert_eq!(
             r.fault_stats.exchange_retries, 1,
@@ -207,7 +208,7 @@ fn zero_timeouts_are_rejected_as_invalid_config() {
         ExecConfig { watchdog_ms: 0, ..fast_cfg() },
         ExecConfig { exchange_timeout_ms: 0, ..exchange_cfg(true) },
     ] {
-        match try_run_pipeline(&cfg, PipelineKind::SlimPipe, 1, 0.2) {
+        match verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2) {
             Err(ExecError::InvalidConfig(msg)) => {
                 assert!(
                     msg.contains("watchdog") || msg.contains("timeout"),

@@ -20,8 +20,8 @@ use slimpipe_exec::layer::{
 };
 use slimpipe_exec::model::ExecConfig;
 use slimpipe_exec::schedule::PipelineKind;
-use slimpipe_exec::train::{run_pipeline, run_reference, RunResult};
-use slimpipe_exec::verify::assert_equivalent;
+use slimpipe_exec::train::{run_reference, RunResult};
+use slimpipe_exec::verify::{self, assert_equivalent};
 use slimpipe_tensor::attention::HeadCfg;
 use slimpipe_tensor::init::seeded_uniform;
 use slimpipe_tensor::matmul::{matmul, matmul_nt, matmul_tn, with_kernel_nr};
@@ -63,7 +63,7 @@ fn every_pipeline_kind_matches_the_reference() {
     ];
     for (kind, cfg) in matrix {
         let want = run_reference(&cfg, 2, 0.2);
-        let got = run_pipeline(&cfg, kind, 2, 0.2);
+        let got = verify::run(&cfg, kind, 2, 0.2).unwrap();
         assert_equivalent(&got, &want, 2e-3);
     }
 }
@@ -89,8 +89,8 @@ fn feature_configs_match_the_reference() {
     ];
     for (name, cfg) in configs {
         let want = run_reference(&cfg, 2, 0.2);
-        let got = run_pipeline(&cfg, PipelineKind::SlimPipe, 2, 0.2);
-        let c = slimpipe_exec::verify::compare(&got, &want);
+        let got = verify::run(&cfg, PipelineKind::SlimPipe, 2, 0.2).unwrap();
+        let c = verify::compare(&got, &want);
         assert!(
             c.max_loss_diff < 3e-3 && c.worst_grad_rel < 3e-3,
             "{name}: loss diff {} / worst grad {} at {}",
@@ -115,10 +115,10 @@ fn runs_are_bit_reproducible_and_width_independent() {
         ..ExecConfig::small()
     };
     rayon::set_num_threads(1);
-    let narrow = run_pipeline(&cfg, PipelineKind::SlimPipe, 2, 0.2);
-    let narrow2 = run_pipeline(&cfg, PipelineKind::SlimPipe, 2, 0.2);
+    let narrow = verify::run(&cfg, PipelineKind::SlimPipe, 2, 0.2).unwrap();
+    let narrow2 = verify::run(&cfg, PipelineKind::SlimPipe, 2, 0.2).unwrap();
     rayon::set_num_threads(8);
-    let wide = run_pipeline(&cfg, PipelineKind::SlimPipe, 2, 0.2);
+    let wide = verify::run(&cfg, PipelineKind::SlimPipe, 2, 0.2).unwrap();
     rayon::set_num_threads(0);
     assert_bits_equal(&narrow2, &narrow, "re-run at width 1");
     assert_bits_equal(&wide, &narrow, "width 8 vs width 1");
@@ -131,15 +131,25 @@ fn runs_are_bit_reproducible_and_width_independent() {
 fn context_exchange_is_bit_identical_to_local_execution() {
     let _g = WIDTH_LOCK.lock().unwrap();
     let cfg = ExecConfig { stages: 2, slices: 8, microbatches: 2, ..ExecConfig::small() };
-    let local = run_pipeline(&cfg, PipelineKind::SlimPipe, 2, 0.2);
-    let exchanged =
-        run_pipeline(&ExecConfig { exchange: true, ..cfg.clone() }, PipelineKind::SlimPipe, 2, 0.2);
+    let local = verify::run(&cfg, PipelineKind::SlimPipe, 2, 0.2).unwrap();
+    let exchanged = verify::run(
+        &ExecConfig { exchange: true, ..cfg.clone() },
+        PipelineKind::SlimPipe,
+        2,
+        0.2,
+    )
+    .unwrap();
     assert_bits_equal(&exchanged, &local, "exchange vs local");
 
     // And under a forced pool width, still the same bits.
     rayon::set_num_threads(4);
-    let exchanged_wide =
-        run_pipeline(&ExecConfig { exchange: true, ..cfg.clone() }, PipelineKind::SlimPipe, 2, 0.2);
+    let exchanged_wide = verify::run(
+        &ExecConfig { exchange: true, ..cfg.clone() },
+        PipelineKind::SlimPipe,
+        2,
+        0.2,
+    )
+    .unwrap();
     rayon::set_num_threads(0);
     assert_bits_equal(&exchanged_wide, &local, "exchange at width 4 vs local");
 }
@@ -347,8 +357,8 @@ fn fused_layer_is_bit_identical_to_unfused_composition() {
 fn kernel_width_never_changes_pipeline_bits() {
     let _g = WIDTH_LOCK.lock().unwrap();
     let cfg = ExecConfig { stages: 2, slices: 4, microbatches: 2, ..ExecConfig::small() };
-    let narrow = with_kernel_nr(8, || run_pipeline(&cfg, PipelineKind::SlimPipe, 2, 0.2));
-    let wide = with_kernel_nr(16, || run_pipeline(&cfg, PipelineKind::SlimPipe, 2, 0.2));
+    let narrow = with_kernel_nr(8, || verify::run(&cfg, PipelineKind::SlimPipe, 2, 0.2).unwrap());
+    let wide = with_kernel_nr(16, || verify::run(&cfg, PipelineKind::SlimPipe, 2, 0.2).unwrap());
     assert_bits_equal(&wide, &narrow, "kernel width 16 vs 8");
 }
 
@@ -369,13 +379,13 @@ fn steady_state_training_spawns_zero_pool_threads() {
     };
     rayon::set_num_threads(4);
     // Warm-up: first parallel regions may grow the pool to width - 1.
-    let _ = run_pipeline(&cfg, PipelineKind::SlimPipe, 1, 0.2);
+    let _ = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2).unwrap();
     let warm = rayon::pool_thread_spawns();
     assert!(rayon::pool_size() >= 3, "pool must hold the warm-up workers");
     // Steady state: multi-step training and fresh runs spawn nothing.
-    let _ = run_pipeline(&cfg, PipelineKind::SlimPipe, 3, 0.2);
+    let _ = verify::run(&cfg, PipelineKind::SlimPipe, 3, 0.2).unwrap();
     let _ = run_reference(&cfg, 2, 0.2);
-    let _ = run_pipeline(&cfg, PipelineKind::TeraPipe, 1, 0.2);
+    let _ = verify::run(&cfg, PipelineKind::TeraPipe, 1, 0.2).unwrap();
     // Read the counter before releasing the width override: concurrent
     // tests in this binary could otherwise grow the pool to the host's
     // full parallelism in the gap and fail this assertion spuriously.

@@ -13,9 +13,11 @@ use slimpipe_exec::comm::ExchangeMap;
 use slimpipe_exec::fault::InjectedPanic;
 use slimpipe_exec::model::{CheckpointCfg, ExecConfig};
 use slimpipe_exec::schedule::PipelineKind;
-use slimpipe_exec::train::{run_pipeline, try_resume_pipeline, try_run_pipeline, RunResult};
-use slimpipe_exec::verify::assert_bit_identical;
-use slimpipe_exec::{DegradePolicy, ExecError, FaultKind, FaultPlan, FaultSite};
+use slimpipe_exec::train::{try_resume_pipeline_from_traced, RunResult};
+use slimpipe_exec::verify::{self, assert_bit_identical};
+use slimpipe_exec::{
+    CheckpointState, DegradePolicy, ExecError, FaultKind, FaultPlan, FaultSite, TraceSession,
+};
 use std::sync::{Mutex, Once};
 use std::time::{Duration, Instant};
 
@@ -62,6 +64,15 @@ fn unique_path(tag: &str) -> std::path::PathBuf {
     std::env::temp_dir().join(format!("slimpipe_faults_{}_{tag}.ckpt", std::process::id()))
 }
 
+/// Resume a SlimPipe run from the newest usable snapshot under
+/// `cfg.checkpoint` and train to `steps` total iterations.
+fn resume_latest(cfg: &ExecConfig, steps: usize) -> Result<RunResult, ExecError> {
+    let ck = cfg.checkpoint.as_ref().expect("resume needs cfg.checkpoint");
+    let state = CheckpointState::load_latest(ck, cfg)?;
+    let trace = TraceSession::from_env().0;
+    try_resume_pipeline_from_traced(cfg, PipelineKind::SlimPipe, steps, 0.2, state, &trace)
+}
+
 // ---- panic containment ----
 
 #[test]
@@ -76,7 +87,7 @@ fn stage_panic_is_contained_and_names_the_unit() {
                 fault_plan: Some(FaultPlan::single(site(0, 1, 1, 2), FaultKind::StagePanic)),
                 ..fast_cfg()
             };
-            let err = try_run_pipeline(&cfg, PipelineKind::SlimPipe, 1, 0.2)
+            let err = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2)
                 .expect_err("injected panic must fail the run");
             rayon::set_num_threads(0);
             match err {
@@ -97,8 +108,8 @@ fn injected_failures_are_deterministic_across_runs() {
         fault_plan: Some(FaultPlan::single(site(0, 0, 0, 1), FaultKind::StagePanic)),
         ..fast_cfg()
     };
-    let a = try_run_pipeline(&cfg, PipelineKind::SlimPipe, 1, 0.2).unwrap_err();
-    let b = try_run_pipeline(&cfg, PipelineKind::SlimPipe, 1, 0.2).unwrap_err();
+    let a = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2).unwrap_err();
+    let b = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2).unwrap_err();
     assert_eq!(a, b, "same fault plan must produce the same structured error");
 }
 
@@ -125,12 +136,12 @@ fn server_death_aborts_or_falls_back_by_policy() {
     let base = ExecConfig { stages: 2, slices: 8, exchange: true, ..fast_cfg() };
     let (st, sl, peer) = remote_site(&base);
     let plan = FaultPlan::single(site(0, st, 0, sl), FaultKind::ServerDeath { device: peer });
-    let clean = run_pipeline(&base, PipelineKind::SlimPipe, 1, 0.2);
+    let clean = verify::run(&base, PipelineKind::SlimPipe, 1, 0.2).unwrap();
     for threads in [1usize, 4] {
         rayon::set_num_threads(threads);
         // Abort: the dead server is a structured failure.
         let cfg = ExecConfig { fault_plan: Some(plan.clone()), ..base.clone() };
-        let err = try_run_pipeline(&cfg, PipelineKind::SlimPipe, 1, 0.2)
+        let err = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2)
             .expect_err("abort policy must surface the dead server");
         assert!(
             matches!(err, ExecError::ServerDied { .. } | ExecError::ExchangeTimeout { .. }),
@@ -141,7 +152,7 @@ fn server_death_aborts_or_falls_back_by_policy() {
         // clean run bit for bit.
         for policy in [DegradePolicy::SkipMicrobatch, DegradePolicy::LocalFallback] {
             let cfg = ExecConfig { policy, fault_plan: Some(plan.clone()), ..base.clone() };
-            let r = try_run_pipeline(&cfg, PipelineKind::SlimPipe, 1, 0.2)
+            let r = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2)
                 .expect("degrading policy must survive a dead server");
             assert!(
                 r.fault_stats.local_fallbacks >= 1,
@@ -158,7 +169,7 @@ fn dropped_reply_recovers_via_retry() {
     let _g = width_lock();
     let base = ExecConfig { stages: 2, slices: 8, exchange: true, ..fast_cfg() };
     let (st, sl, _) = remote_site(&base);
-    let clean = run_pipeline(&base, PipelineKind::SlimPipe, 1, 0.2);
+    let clean = verify::run(&base, PipelineKind::SlimPipe, 1, 0.2).unwrap();
     for threads in [1usize, 4] {
         rayon::set_num_threads(threads);
         let cfg = ExecConfig {
@@ -167,7 +178,7 @@ fn dropped_reply_recovers_via_retry() {
         };
         // Retry is recovery, not degradation: even the abort policy rides
         // through a lost reply.
-        let r = try_run_pipeline(&cfg, PipelineKind::SlimPipe, 1, 0.2)
+        let r = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2)
             .expect("a dropped reply must be retried, not fatal");
         rayon::set_num_threads(0);
         assert!(r.fault_stats.exchange_retries >= 1, "threads={threads}: no retry recorded");
@@ -180,7 +191,7 @@ fn delayed_reply_recovers_within_backoff() {
     let _g = width_lock();
     let base = ExecConfig { stages: 2, slices: 8, exchange: true, ..fast_cfg() };
     let (st, sl, _) = remote_site(&base);
-    let clean = run_pipeline(&base, PipelineKind::SlimPipe, 1, 0.2);
+    let clean = verify::run(&base, PipelineKind::SlimPipe, 1, 0.2).unwrap();
     let cfg = ExecConfig {
         fault_plan: Some(FaultPlan::single(
             site(0, st, 0, sl),
@@ -188,7 +199,7 @@ fn delayed_reply_recovers_within_backoff() {
         )),
         ..base
     };
-    let r = try_run_pipeline(&cfg, PipelineKind::SlimPipe, 1, 0.2)
+    let r = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2)
         .expect("a delayed reply must be absorbed by timeout + backoff");
     assert!(r.fault_stats.exchange_retries >= 1, "delay never tripped the timeout");
     assert_bit_identical(&r, &clean);
@@ -204,7 +215,7 @@ fn corrupt_activation_policy_matrix() {
         rayon::set_num_threads(threads);
         // Abort: poison is detected at the loss and named.
         let cfg = ExecConfig { fault_plan: Some(plan.clone()), ..fast_cfg() };
-        let err = try_run_pipeline(&cfg, PipelineKind::SlimPipe, 1, 0.2)
+        let err = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2)
             .expect_err("NaN loss under abort policy must fail");
         match err {
             ExecError::NonFinite { stage: 1, iteration: 0, mb: 0, ref what, .. } => {
@@ -216,7 +227,7 @@ fn corrupt_activation_policy_matrix() {
         // the poisoned microbatch is dropped, the run completes finite.
         for policy in [DegradePolicy::SkipMicrobatch, DegradePolicy::LocalFallback] {
             let cfg = ExecConfig { policy, fault_plan: Some(plan.clone()), ..fast_cfg() };
-            let r = try_run_pipeline(&cfg, PipelineKind::SlimPipe, 2, 0.2)
+            let r = verify::run(&cfg, PipelineKind::SlimPipe, 2, 0.2)
                 .expect("skip policy must survive a poisoned microbatch");
             assert_eq!(r.fault_stats.skipped_microbatches, 1, "threads={threads}");
             assert_eq!(r.losses.len(), 2);
@@ -241,8 +252,8 @@ fn skip_and_renormalize_is_deterministic() {
         fault_plan: Some(FaultPlan::single(site(0, 1, 1, 0), FaultKind::CorruptActivation)),
         ..fast_cfg()
     };
-    let a = try_run_pipeline(&cfg, PipelineKind::SlimPipe, 2, 0.2).unwrap();
-    let b = try_run_pipeline(&cfg, PipelineKind::SlimPipe, 2, 0.2).unwrap();
+    let a = verify::run(&cfg, PipelineKind::SlimPipe, 2, 0.2).unwrap();
+    let b = verify::run(&cfg, PipelineKind::SlimPipe, 2, 0.2).unwrap();
     assert_eq!(a.fault_stats, b.fault_stats);
     assert_bit_identical(&a, &b);
 }
@@ -258,7 +269,7 @@ fn stalled_stage_trips_the_peer_watchdog() {
         ..fast_cfg()
     };
     let t0 = Instant::now();
-    let err = try_run_pipeline(&cfg, PipelineKind::SlimPipe, 1, 0.2)
+    let err = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2)
         .expect_err("a wedged stage must be detected");
     // The watchdog reports the *blocked* (stage, unit) pair; the stalled
     // stage itself drains as a secondary Aborted.
@@ -293,7 +304,7 @@ fn vocab_server_death_is_a_structured_error() {
             )),
             ..fast_cfg()
         };
-        let err = try_run_pipeline(&cfg, PipelineKind::SlimPipe, 1, 0.2)
+        let err = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2)
             .expect_err("vocab shard death must fail the run");
         assert!(
             matches!(
@@ -320,7 +331,7 @@ fn resume_after_crash_is_bit_identical_to_uninterrupted_run() {
     // The uninterrupted run: same model, no checkpointing at all — the
     // comparison also proves segmentation itself perturbs nothing.
     let full_cfg = ExecConfig { checkpoint: None, ..base.clone() };
-    let full = run_pipeline(&full_cfg, PipelineKind::SlimPipe, 6, 0.2);
+    let full = verify::run(&full_cfg, PipelineKind::SlimPipe, 6, 0.2).unwrap();
 
     // Crash at iteration 4 (segment boundaries at 2 and 4, so the
     // snapshot at 4 exists and the one at 2 has been superseded).
@@ -328,13 +339,12 @@ fn resume_after_crash_is_bit_identical_to_uninterrupted_run() {
         fault_plan: Some(FaultPlan::single(site(4, 1, 0, 0), FaultKind::StagePanic)),
         ..base.clone()
     };
-    let err = try_run_pipeline(&crash_cfg, PipelineKind::SlimPipe, 6, 0.2)
+    let err = verify::run(&crash_cfg, PipelineKind::SlimPipe, 6, 0.2)
         .expect_err("the injected crash must interrupt training");
     assert!(matches!(err, ExecError::StagePanic { iteration: 4, .. }), "got {err}");
 
     // Resume from the snapshot with the fault cleared.
-    let resumed = try_resume_pipeline(&base, PipelineKind::SlimPipe, 6, 0.2)
-        .expect("resume from the iteration-4 snapshot");
+    let resumed = resume_latest(&base, 6).expect("resume from the iteration-4 snapshot");
     assert_eq!(resumed.losses.len(), 2, "resume covers iterations 4 and 5");
     let tail = RunResult { losses: full.losses[4..].to_vec(), ..full };
     assert_bit_identical(&resumed, &tail);
@@ -358,14 +368,14 @@ fn corrupted_checkpoint_is_detected_not_trusted() {
         checkpoint: Some(CheckpointCfg { every: 1, path: path.clone(), keep_last: 0 }),
         ..fast_cfg()
     };
-    run_pipeline(&cfg, PipelineKind::SlimPipe, 2, 0.2);
+    verify::run(&cfg, PipelineKind::SlimPipe, 2, 0.2).unwrap();
     // Corrupt the only snapshot (the `latest` manifest at `path` names it).
     let snap = slimpipe_exec::checkpoint::snapshot_path(&path, 1);
     let mut bytes = std::fs::read(&snap).expect("snapshot written at iteration 1");
     let mid = bytes.len() / 2;
     bytes[mid] ^= 0x40;
     std::fs::write(&snap, &bytes).unwrap();
-    match try_resume_pipeline(&cfg, PipelineKind::SlimPipe, 4, 0.2) {
+    match resume_latest(&cfg, 4) {
         Err(ExecError::Checkpoint(msg)) => {
             assert!(msg.contains("checksum") || msg.contains("corrupt"), "message: {msg}")
         }
@@ -382,9 +392,9 @@ fn resume_past_the_end_is_rejected() {
         checkpoint: Some(CheckpointCfg { every: 1, path: path.clone(), keep_last: 0 }),
         ..fast_cfg()
     };
-    run_pipeline(&cfg, PipelineKind::SlimPipe, 2, 0.2);
+    verify::run(&cfg, PipelineKind::SlimPipe, 2, 0.2).unwrap();
     // The snapshot is at iteration 1; a 1-step run is already covered.
-    match try_resume_pipeline(&cfg, PipelineKind::SlimPipe, 1, 0.2) {
+    match resume_latest(&cfg, 1) {
         Err(ExecError::Checkpoint(_)) => {}
         other => panic!("expected Checkpoint error, got {:?}", other.map(|_| "ok")),
     }

@@ -14,11 +14,11 @@ use slimpipe_exec::checkpoint::snapshot_path;
 use slimpipe_exec::fault::InjectedPanic;
 use slimpipe_exec::model::{CheckpointCfg, ExecConfig};
 use slimpipe_exec::schedule::PipelineKind;
-use slimpipe_exec::train::{try_resume_pipeline_from, try_run_pipeline};
-use slimpipe_exec::verify::assert_bit_identical;
+use slimpipe_exec::train::try_resume_pipeline_from_traced;
+use slimpipe_exec::verify::{self, assert_bit_identical};
 use slimpipe_exec::{
-    run_elastic, CheckpointState, DriverCfg, DriverOutcome, ExecError, FaultKind, FaultPlan,
-    FaultSite, ShrinkReplanner,
+    run_elastic_traced, CheckpointState, DriverCfg, DriverOutcome, ExecError, FaultKind,
+    FaultPlan, FaultSite, ShrinkReplanner, TraceSession,
 };
 use std::sync::{Mutex, Once};
 use std::time::{Duration, Instant};
@@ -71,6 +71,17 @@ fn clean_ckpt_files(path: &std::path::Path) {
     }
 }
 
+/// The elastic driver with the fallback replanner, recording into the
+/// session `SLIMPIPE_TRACE` selects.
+fn supervise(
+    cfg: &ExecConfig,
+    driver: &DriverCfg,
+    steps: usize,
+) -> Result<DriverOutcome, ExecError> {
+    let trace = TraceSession::from_env().0;
+    run_elastic_traced(cfg, driver, steps, 0.2, &mut ShrinkReplanner, &trace)
+}
+
 /// Run the elastic driver and prove the determinism contract: the healed
 /// run's result is bit-identical to a clean resume of the driver's final
 /// config (faults stripped) from the snapshot at `expect_resume_from`.
@@ -83,7 +94,7 @@ fn assert_recovers_bit_identically(
     expect_resume_from: usize,
     what: &str,
 ) -> DriverOutcome {
-    let outcome = run_elastic(cfg, &DriverCfg::default(), steps, 0.2, &mut ShrinkReplanner)
+    let outcome = supervise(cfg, &DriverCfg::default(), steps)
         .unwrap_or_else(|e| panic!("{what}: recoverable fault must heal, got {e}"));
     assert_eq!(outcome.log.events.len(), 1, "{what}: one recovery:\n{}", outcome.log);
     let ev = &outcome.log.events[0];
@@ -91,14 +102,16 @@ fn assert_recovers_bit_identically(
     assert_eq!(ev.resumed_from, expect_resume_from, "{what}: restore point");
     let clean_cfg = ExecConfig { fault_plan: None, ..outcome.final_config.clone() };
     let want = if expect_resume_from == 0 {
-        try_run_pipeline(&clean_cfg, PipelineKind::SlimPipe, steps, 0.2)
+        verify::run(&clean_cfg, PipelineKind::SlimPipe, steps, 0.2)
             .unwrap_or_else(|e| panic!("{what}: clean from-scratch run: {e}"))
     } else {
         let ck = cfg.checkpoint.as_ref().expect("checkpointed job");
         let snap =
             CheckpointState::load(&snapshot_path(&ck.path, expect_resume_from as u64), &clean_cfg)
                 .unwrap_or_else(|e| panic!("{what}: restore-point snapshot must load: {e}"));
-        try_resume_pipeline_from(&clean_cfg, PipelineKind::SlimPipe, steps, 0.2, snap)
+        let trace = TraceSession::from_env().0;
+        let kind = PipelineKind::SlimPipe;
+        try_resume_pipeline_from_traced(&clean_cfg, kind, steps, 0.2, snap, &trace)
             .unwrap_or_else(|e| panic!("{what}: clean resume: {e}"))
     };
     assert_bit_identical(&outcome.result, &want);
@@ -226,7 +239,7 @@ fn exhausted_budget_surfaces_the_fault() {
         ..fast_cfg()
     };
     let driver = DriverCfg { max_recoveries: 0, ..DriverCfg::default() };
-    let err = run_elastic(&cfg, &driver, 2, 0.2, &mut ShrinkReplanner)
+    let err = supervise(&cfg, &driver, 2)
         .expect_err("zero budget must not heal");
     assert!(matches!(err, ExecError::StagePanic { stage: 1, .. }), "got {err}");
 }
@@ -241,7 +254,7 @@ fn single_stage_fault_cannot_shrink() {
         fault_plan: Some(FaultPlan::single(site(0, 0, 0, 1), FaultKind::StagePanic)),
         ..fast_cfg()
     };
-    let err = run_elastic(&cfg, &DriverCfg::default(), 2, 0.2, &mut ShrinkReplanner)
+    let err = supervise(&cfg, &DriverCfg::default(), 2)
         .expect_err("no survivors to shrink onto");
     assert!(matches!(err, ExecError::StagePanic { stage: 0, .. }), "got {err}");
 }
@@ -310,7 +323,7 @@ fn chaos_schedules_always_terminate() {
             ..fast_cfg()
         };
         let start = Instant::now();
-        let res = run_elastic(&cfg, &DriverCfg::default(), 4, 0.2, &mut ShrinkReplanner);
+        let res = supervise(&cfg, &DriverCfg::default(), 4);
         let elapsed = start.elapsed();
         assert!(
             elapsed < Duration::from_secs(120),
@@ -345,8 +358,8 @@ fn chaos_schedules_always_terminate() {
 /// drops, with the final report a superset in the same order.
 #[test]
 fn recovery_transitions_appear_in_the_trace() {
-    use slimpipe_exec::obs::{RecoveryPhase, SpanKind, TraceReport, TraceSession};
-    use slimpipe_exec::{run_elastic_traced, Replanner};
+    use slimpipe_exec::obs::{RecoveryPhase, SpanKind, TraceReport};
+    use slimpipe_exec::Replanner;
 
     quiet_injected_panics();
     let path = unique_path("traced");

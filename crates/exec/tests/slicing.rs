@@ -14,8 +14,8 @@
 
 use slimpipe_exec::model::ExecConfig;
 use slimpipe_exec::schedule::PipelineKind;
-use slimpipe_exec::train::{run_pipeline, run_reference, RunResult};
-use slimpipe_exec::verify::assert_equivalent;
+use slimpipe_exec::train::{run_reference, RunResult};
+use slimpipe_exec::verify::{self, assert_equivalent};
 use slimpipe_exec::SlicePolicy;
 use std::sync::Mutex;
 
@@ -73,8 +73,8 @@ fn pair_balanced_matches_reference_across_features() {
     ];
     for (name, cfg) in configs {
         let want = run_reference(&cfg, 2, 0.2);
-        let got = run_pipeline(&cfg, PipelineKind::SlimPipe, 2, 0.2);
-        let c = slimpipe_exec::verify::compare(&got, &want);
+        let got = verify::run(&cfg, PipelineKind::SlimPipe, 2, 0.2).unwrap();
+        let c = verify::compare(&got, &want);
         assert!(
             c.max_loss_diff < 3e-3 && c.worst_grad_rel < 3e-3,
             "{name}: loss diff {} / worst grad {} at {}",
@@ -106,8 +106,8 @@ fn ragged_microbatches_match_reference_across_features() {
     ];
     for (name, cfg) in configs {
         let want = run_reference(&cfg, 2, 0.2);
-        let got = run_pipeline(&cfg, PipelineKind::SlimPipe, 2, 0.2);
-        let c = slimpipe_exec::verify::compare(&got, &want);
+        let got = verify::run(&cfg, PipelineKind::SlimPipe, 2, 0.2).unwrap();
+        let c = verify::compare(&got, &want);
         assert!(
             c.max_loss_diff < 3e-3 && c.worst_grad_rel < 3e-3,
             "{name}: loss diff {} / worst grad {} at {}",
@@ -129,7 +129,7 @@ fn terapipe_schedule_with_pair_balanced_slices_matches_reference() {
         ..ExecConfig::small()
     };
     let want = run_reference(&cfg, 1, 0.2);
-    let got = run_pipeline(&cfg, PipelineKind::TeraPipe, 1, 0.2);
+    let got = verify::run(&cfg, PipelineKind::TeraPipe, 1, 0.2).unwrap();
     assert_equivalent(&got, &want, 2e-3);
 }
 
@@ -139,14 +139,24 @@ fn terapipe_schedule_with_pair_balanced_slices_matches_reference() {
 fn pair_balanced_exchange_is_bit_identical_to_local() {
     let _g = WIDTH_LOCK.lock().unwrap();
     let cfg = pair_balanced_base();
-    let local = run_pipeline(&cfg, PipelineKind::SlimPipe, 2, 0.2);
-    let exchanged =
-        run_pipeline(&ExecConfig { exchange: true, ..cfg.clone() }, PipelineKind::SlimPipe, 2, 0.2);
+    let local = verify::run(&cfg, PipelineKind::SlimPipe, 2, 0.2).unwrap();
+    let exchanged = verify::run(
+        &ExecConfig { exchange: true, ..cfg.clone() },
+        PipelineKind::SlimPipe,
+        2,
+        0.2,
+    )
+    .unwrap();
     assert_bits_equal(&exchanged, &local, "pair-balanced exchange vs local");
 
     rayon::set_num_threads(4);
-    let exchanged_wide =
-        run_pipeline(&ExecConfig { exchange: true, ..cfg }, PipelineKind::SlimPipe, 2, 0.2);
+    let exchanged_wide = verify::run(
+        &ExecConfig { exchange: true, ..cfg },
+        PipelineKind::SlimPipe,
+        2,
+        0.2,
+    )
+    .unwrap();
     rayon::set_num_threads(0);
     assert_bits_equal(&exchanged_wide, &local, "pair-balanced exchange at width 4");
 }
@@ -157,10 +167,10 @@ fn ragged_runs_are_bit_reproducible_and_width_independent() {
     let _g = WIDTH_LOCK.lock().unwrap();
     let cfg = ExecConfig { exchange: true, ..ragged_base() };
     rayon::set_num_threads(1);
-    let narrow = run_pipeline(&cfg, PipelineKind::SlimPipe, 2, 0.2);
-    let narrow2 = run_pipeline(&cfg, PipelineKind::SlimPipe, 2, 0.2);
+    let narrow = verify::run(&cfg, PipelineKind::SlimPipe, 2, 0.2).unwrap();
+    let narrow2 = verify::run(&cfg, PipelineKind::SlimPipe, 2, 0.2).unwrap();
     rayon::set_num_threads(4);
-    let wide = run_pipeline(&cfg, PipelineKind::SlimPipe, 2, 0.2);
+    let wide = verify::run(&cfg, PipelineKind::SlimPipe, 2, 0.2).unwrap();
     rayon::set_num_threads(0);
     assert_bits_equal(&narrow2, &narrow, "ragged re-run at width 1");
     assert_bits_equal(&wide, &narrow, "ragged width 4 vs width 1");
@@ -183,8 +193,8 @@ fn explicit_uniform_bounds_reproduce_uniform_accounting() {
         slicing: SlicePolicy::Explicit(bounds),
         ..uniform.clone()
     };
-    let a = run_pipeline(&uniform, PipelineKind::SlimPipe, 2, 0.2);
-    let b = run_pipeline(&explicit, PipelineKind::SlimPipe, 2, 0.2);
+    let a = verify::run(&uniform, PipelineKind::SlimPipe, 2, 0.2).unwrap();
+    let b = verify::run(&explicit, PipelineKind::SlimPipe, 2, 0.2).unwrap();
     assert_bits_equal(&b, &a, "explicit-uniform vs uniform");
     assert_eq!(
         a.peak_act_bytes, b.peak_act_bytes,
@@ -204,7 +214,7 @@ fn offload_composes_with_pair_balanced_and_ragged() {
         ..pair_balanced_base()
     };
     let want = run_reference(&ExecConfig { offload_budget: None, ..cfg.clone() }, 2, 0.2);
-    let got = run_pipeline(&cfg, PipelineKind::SlimPipe, 2, 0.2);
+    let got = verify::run(&cfg, PipelineKind::SlimPipe, 2, 0.2).unwrap();
     assert_equivalent(&got, &want, 3e-3);
 }
 
@@ -238,8 +248,8 @@ fn per_microbatch_slice_counts_match_reference() {
     ];
     for (name, cfg) in configs {
         let want = run_reference(&cfg, 2, 0.2);
-        let got = run_pipeline(&cfg, PipelineKind::SlimPipe, 2, 0.2);
-        let c = slimpipe_exec::verify::compare(&got, &want);
+        let got = verify::run(&cfg, PipelineKind::SlimPipe, 2, 0.2).unwrap();
+        let c = verify::compare(&got, &want);
         assert!(
             c.max_loss_diff < 3e-3 && c.worst_grad_rel < 3e-3,
             "{name}: loss diff {} / worst grad {} at {}",
@@ -263,14 +273,24 @@ fn per_microbatch_counts_exchange_is_bit_identical_to_local() {
         mb_seqs: Some(vec![64, 48]),
         ..ExecConfig::small()
     };
-    let local = run_pipeline(&cfg, PipelineKind::SlimPipe, 2, 0.2);
-    let exchanged =
-        run_pipeline(&ExecConfig { exchange: true, ..cfg.clone() }, PipelineKind::SlimPipe, 2, 0.2);
+    let local = verify::run(&cfg, PipelineKind::SlimPipe, 2, 0.2).unwrap();
+    let exchanged = verify::run(
+        &ExecConfig { exchange: true, ..cfg.clone() },
+        PipelineKind::SlimPipe,
+        2,
+        0.2,
+    )
+    .unwrap();
     assert_bits_equal(&exchanged, &local, "per-mb-count exchange vs local");
 
     rayon::set_num_threads(4);
-    let exchanged_wide =
-        run_pipeline(&ExecConfig { exchange: true, ..cfg }, PipelineKind::SlimPipe, 2, 0.2);
+    let exchanged_wide = verify::run(
+        &ExecConfig { exchange: true, ..cfg },
+        PipelineKind::SlimPipe,
+        2,
+        0.2,
+    )
+    .unwrap();
     rayon::set_num_threads(0);
     assert_bits_equal(&exchanged_wide, &local, "per-mb-count exchange at width 4");
 }
@@ -287,8 +307,8 @@ fn per_microbatch_spelling_of_global_count_is_bit_identical() {
         ..ExecConfig::small()
     };
     let per_mb = ExecConfig { mb_slices: Some(vec![4, 4]), ..global.clone() };
-    let a = run_pipeline(&global, PipelineKind::SlimPipe, 2, 0.2);
-    let b = run_pipeline(&per_mb, PipelineKind::SlimPipe, 2, 0.2);
+    let a = verify::run(&global, PipelineKind::SlimPipe, 2, 0.2).unwrap();
+    let b = verify::run(&per_mb, PipelineKind::SlimPipe, 2, 0.2).unwrap();
     assert_bits_equal(&b, &a, "per-mb spelling vs global");
     assert_eq!(a.peak_act_bytes, b.peak_act_bytes);
 }
@@ -305,8 +325,8 @@ fn pair_balanced_peaks_at_least_uniform() {
         ..ExecConfig::small()
     };
     let balanced = ExecConfig { slicing: SlicePolicy::PairBalanced, ..uniform.clone() };
-    let u = run_pipeline(&uniform, PipelineKind::SlimPipe, 1, 0.1);
-    let b = run_pipeline(&balanced, PipelineKind::SlimPipe, 1, 0.1);
+    let u = verify::run(&uniform, PipelineKind::SlimPipe, 1, 0.1).unwrap();
+    let b = verify::run(&balanced, PipelineKind::SlimPipe, 1, 0.1).unwrap();
     assert!(
         b.peak_act_bytes[0] >= u.peak_act_bytes[0],
         "pair-balanced {} vs uniform {}",

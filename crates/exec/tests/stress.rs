@@ -4,8 +4,8 @@
 
 use slimpipe_exec::model::ExecConfig;
 use slimpipe_exec::schedule::PipelineKind;
-use slimpipe_exec::train::{run_pipeline, run_reference};
-use slimpipe_exec::verify::assert_equivalent;
+use slimpipe_exec::train::run_reference;
+use slimpipe_exec::verify::{self, assert_equivalent};
 
 #[test]
 fn four_stage_pipeline_matches_reference() {
@@ -19,7 +19,7 @@ fn four_stage_pipeline_matches_reference() {
         ..ExecConfig::small()
     };
     let want = run_reference(&cfg, 1, 0.2);
-    let got = run_pipeline(&cfg, PipelineKind::SlimPipe, 1, 0.2);
+    let got = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2).unwrap();
     assert_equivalent(&got, &want, 3e-3);
 }
 
@@ -35,7 +35,7 @@ fn multi_query_attention_matches_reference() {
         ..ExecConfig::small()
     };
     let want = run_reference(&cfg, 1, 0.2);
-    let got = run_pipeline(&cfg, PipelineKind::SlimPipe, 1, 0.2);
+    let got = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2).unwrap();
     assert_equivalent(&got, &want, 2e-3);
 }
 
@@ -49,7 +49,7 @@ fn full_multi_head_attention_matches_reference() {
         ..ExecConfig::small()
     };
     let want = run_reference(&cfg, 1, 0.2);
-    let got = run_pipeline(&cfg, PipelineKind::SlimPipe, 1, 0.2);
+    let got = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2).unwrap();
     assert_equivalent(&got, &want, 2e-3);
 }
 
@@ -62,7 +62,7 @@ fn many_microbatches_match_reference() {
         ..ExecConfig::small()
     };
     let want = run_reference(&cfg, 1, 0.2);
-    let got = run_pipeline(&cfg, PipelineKind::SlimPipe, 1, 0.2);
+    let got = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2).unwrap();
     assert_equivalent(&got, &want, 2e-3);
 }
 
@@ -77,7 +77,7 @@ fn slices_equal_to_stages_is_the_minimum_and_works() {
         ..ExecConfig::small()
     };
     let want = run_reference(&cfg, 1, 0.2);
-    let got = run_pipeline(&cfg, PipelineKind::SlimPipe, 1, 0.2);
+    let got = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2).unwrap();
     assert_equivalent(&got, &want, 2e-3);
 }
 
@@ -92,7 +92,7 @@ fn three_steps_of_sgd_stay_in_lockstep() {
         ..ExecConfig::small()
     };
     let want = run_reference(&cfg, 3, 0.3);
-    let got = run_pipeline(&cfg, PipelineKind::SlimPipe, 3, 0.3);
+    let got = verify::run(&cfg, PipelineKind::SlimPipe, 3, 0.3).unwrap();
     assert_equivalent(&got, &want, 5e-3);
     // Training must actually make progress.
     assert!(got.losses[2] < got.losses[0]);
@@ -109,7 +109,7 @@ fn single_slice_slimpipe_degenerates_to_1f1b() {
         ..ExecConfig::small()
     };
     let want = run_reference(&cfg, 1, 0.2);
-    let got = run_pipeline(&cfg, PipelineKind::SlimPipe, 1, 0.2);
+    let got = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2).unwrap();
     assert_equivalent(&got, &want, 2e-3);
 }
 
@@ -124,8 +124,8 @@ fn peak_memory_ranking_is_stable_across_depths() {
             ..ExecConfig::small()
         };
         let classic_cfg = ExecConfig { slices: 1, ..slim_cfg.clone() };
-        let slim = run_pipeline(&slim_cfg, PipelineKind::SlimPipe, 1, 0.1);
-        let classic = run_pipeline(&classic_cfg, PipelineKind::OneFOneB, 1, 0.1);
+        let slim = verify::run(&slim_cfg, PipelineKind::SlimPipe, 1, 0.1).unwrap();
+        let classic = verify::run(&classic_cfg, PipelineKind::OneFOneB, 1, 0.1).unwrap();
         assert!(
             slim.peak_act_bytes[0] < classic.peak_act_bytes[0],
             "stages={stages}: slim {} vs classic {}",

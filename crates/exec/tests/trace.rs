@@ -12,7 +12,7 @@
 use slimpipe_exec::fault::InjectedPanic;
 use slimpipe_exec::obs;
 use slimpipe_exec::schedule::PipelineKind;
-use slimpipe_exec::train::{run_pipeline, try_run_pipeline_traced, RunResult};
+use slimpipe_exec::train::{try_run_pipeline_traced, RunResult};
 use slimpipe_exec::{ExecConfig, FaultKind, FaultPlan, FaultSite, TraceSession};
 
 fn cfg() -> ExecConfig {
@@ -41,7 +41,9 @@ fn assert_bits_equal(got: &RunResult, want: &RunResult, what: &str) {
 #[test]
 fn traced_run_is_bit_identical_to_untraced() {
     let cfg = cfg();
-    let untraced = run_pipeline(&cfg, PipelineKind::SlimPipe, 3, 0.1);
+    let untraced =
+        try_run_pipeline_traced(&cfg, PipelineKind::SlimPipe, 3, 0.1, &TraceSession::disabled())
+            .expect("clean untraced run");
     let trace = TraceSession::new();
     let traced = try_run_pipeline_traced(&cfg, PipelineKind::SlimPipe, 3, 0.1, &trace)
         .expect("clean traced run");

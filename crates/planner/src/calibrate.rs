@@ -16,7 +16,7 @@ use slimpipe_exec::layer::{
     layer_backward, layer_forward, DkvAccum, KvCache, LayerGrads, LayerParams, LocalAttn,
 };
 use slimpipe_exec::schedule::PipelineKind;
-use slimpipe_exec::{run_pipeline, ExecConfig};
+use slimpipe_exec::{try_run_pipeline_traced, ExecConfig, TraceSession};
 use slimpipe_model::causal_pairs;
 use slimpipe_tensor::crossentropy;
 use slimpipe_tensor::init::{seeded_tokens, seeded_uniform};
@@ -169,13 +169,12 @@ fn time_embed_point(cfg: &ExecConfig, table: &Tensor, t: usize) -> (f64, f64) {
     (fwd_ns, bwd_ns)
 }
 
-/// Measure the comm-overlap fraction: wall-clock one exchange-enabled
-/// pipeline step with the async runtime on, then with it off, and report
-/// how much of the serialized time the overlapped regime hides. On a
-/// single-core host the two regimes interleave on the same CPU and the
-/// honest answer is ≈ 0 — the fraction only opens up when stage threads
-/// (and the exchange servers they post to) actually run concurrently.
+/// Measure the comm-overlap fraction: time one untraced exchange step with
+/// the async runtime on, then off, and report the share of serialized time
+/// overlap hides. On one core the regimes share a CPU and the answer is
+/// ≈ 0; it opens up only when stage threads and servers run concurrently.
 fn measure_overlap(cfg: &ExecConfig, repeats: usize) -> f64 {
+    let off = TraceSession::disabled();
     let step = |asynchronous: bool| -> f64 {
         let run_cfg = ExecConfig {
             stages: 2,
@@ -188,7 +187,8 @@ fn measure_overlap(cfg: &ExecConfig, repeats: usize) -> f64 {
             ..cfg.clone()
         };
         let t0 = Instant::now();
-        let _ = run_pipeline(&run_cfg, PipelineKind::SlimPipe, 1, 1e-3);
+        try_run_pipeline_traced(&run_cfg, PipelineKind::SlimPipe, 1, 1e-3, &off)
+            .expect("the overlap probe is a fault-free, checkpoint-free run");
         t0.elapsed().as_nanos() as f64
     };
     // Warm both paths once (thread spawn + pool growth), then time.

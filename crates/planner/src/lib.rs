@@ -52,7 +52,7 @@ pub use search::{
     plan, replan_for_stages, simulate_config, CommOpts, PlanError, PlanOpts, DEGRADED_LINK,
 };
 
-/// A planner-backed replanner for [`slimpipe_exec::run_elastic`]: on each
+/// A planner-backed replanner for [`slimpipe_exec::run_elastic_traced`]: on each
 /// recovery it re-runs the calibrated search for the surviving stage count
 /// ([`replan_for_stages`], with [`DEGRADED_LINK`] pricing the degraded
 /// boundary traffic and `mem_cap_bytes` re-enforced against the byte

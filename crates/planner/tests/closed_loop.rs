@@ -10,7 +10,8 @@
 use slimpipe_cluster::Link;
 use slimpipe_core::SlicePolicy;
 use slimpipe_exec::schedule::PipelineKind;
-use slimpipe_exec::train::{run_pipeline, run_reference, RunResult};
+use slimpipe_exec::train::{run_reference, RunResult};
+use slimpipe_exec::verify;
 use slimpipe_exec::ExecConfig;
 use slimpipe_planner::{
     plan, reference_profile, simulate_config, Plan, PlanOpts, ProfiledCostModel,
@@ -68,8 +69,8 @@ fn planned_configs_match_the_reference() {
     for (name, base) in [("uniform", reference_workload()), ("ragged", ragged_workload())] {
         let (_, cfg) = planned(&base);
         let want = run_reference(&cfg, 2, 0.2);
-        let got = run_pipeline(&cfg, PipelineKind::SlimPipe, 2, 0.2);
-        let c = slimpipe_exec::verify::compare(&got, &want);
+        let got = verify::run(&cfg, PipelineKind::SlimPipe, 2, 0.2).unwrap();
+        let c = verify::compare(&got, &want);
         assert!(
             c.max_loss_diff < 3e-3 && c.worst_grad_rel < 3e-3,
             "{name}: loss diff {} / worst grad {} at {}",
@@ -108,11 +109,16 @@ fn planned_runs_are_bit_deterministic_and_exchange_invariant() {
     for base in [reference_workload(), ragged_workload()] {
         let (_, cfg) = planned(&base);
         rayon::set_num_threads(1);
-        let narrow = run_pipeline(&cfg, PipelineKind::SlimPipe, 2, 0.2);
+        let narrow = verify::run(&cfg, PipelineKind::SlimPipe, 2, 0.2).unwrap();
         rayon::set_num_threads(4);
-        let wide = run_pipeline(&cfg, PipelineKind::SlimPipe, 2, 0.2);
-        let exchanged =
-            run_pipeline(&ExecConfig { exchange: true, ..cfg.clone() }, PipelineKind::SlimPipe, 2, 0.2);
+        let wide = verify::run(&cfg, PipelineKind::SlimPipe, 2, 0.2).unwrap();
+        let exchanged = verify::run(
+            &ExecConfig { exchange: true, ..cfg.clone() },
+            PipelineKind::SlimPipe,
+            2,
+            0.2,
+        )
+        .unwrap();
         rayon::set_num_threads(0);
         assert_bits_equal(&wide, &narrow, "planned width 4 vs width 1");
         assert_bits_equal(&exchanged, &narrow, "planned exchange vs local");
@@ -219,7 +225,7 @@ fn overlap_pricing_stays_within_the_prediction_envelope() {
 fn predicted_peak_bytes_track_the_executor() {
     for (name, base) in [("uniform", reference_workload()), ("ragged", ragged_workload())] {
         let (p, cfg) = planned(&base);
-        let run = run_pipeline(&cfg, PipelineKind::SlimPipe, 1, 0.1);
+        let run = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.1).unwrap();
         for (d, (&measured, &predicted)) in
             run.peak_act_bytes.iter().zip(&p.predicted_peak_bytes).enumerate()
         {
@@ -245,7 +251,7 @@ fn capped_plan_executes_within_the_cap() {
     match plan(&base, &profile, &opts) {
         Ok(p) => {
             let cfg = p.to_exec_config(&base);
-            let run = run_pipeline(&cfg, PipelineKind::SlimPipe, 1, 0.1);
+            let run = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.1).unwrap();
             let worst = *run.peak_act_bytes.iter().max().unwrap();
             assert!(
                 (worst as f64) < cap as f64 * 1.25,

@@ -9,11 +9,11 @@
 use slimpipe_exec::checkpoint::snapshot_path;
 use slimpipe_exec::fault::InjectedPanic;
 use slimpipe_exec::schedule::PipelineKind;
-use slimpipe_exec::train::try_resume_pipeline_from;
+use slimpipe_exec::train::try_resume_pipeline_from_traced;
 use slimpipe_exec::verify::assert_bit_identical;
 use slimpipe_exec::{
-    run_elastic, CheckpointCfg, CheckpointState, DriverCfg, ExecConfig, ExecError, FaultKind,
-    FaultPlan, FaultSite,
+    run_elastic_traced, CheckpointCfg, CheckpointState, DriverCfg, ExecConfig, ExecError,
+    FaultKind, FaultPlan, FaultSite, TraceSession,
 };
 use slimpipe_planner::{recovery_replanner, reference_profile, replan_for_stages, PlanError};
 use std::sync::Once;
@@ -64,7 +64,8 @@ fn planner_replanner_recovers_bit_identically() {
         ..ExecConfig::small()
     };
     let mut replanner = recovery_replanner(reference_profile(), None);
-    let outcome = run_elastic(&cfg, &DriverCfg::default(), 6, 0.2, &mut replanner)
+    let trace = TraceSession::from_env().0;
+    let outcome = run_elastic_traced(&cfg, &DriverCfg::default(), 6, 0.2, &mut replanner, &trace)
         .expect("recoverable fault must heal");
     assert_eq!(outcome.log.events.len(), 1, "exactly one recovery:\n{}", outcome.log);
     let ev = &outcome.log.events[0];
@@ -78,7 +79,8 @@ fn planner_replanner_recovers_bit_identically() {
     let clean_cfg = ExecConfig { fault_plan: None, ..outcome.final_config.clone() };
     let snap = CheckpointState::load(&snapshot_path(&path, 2), &clean_cfg)
         .expect("the 2-stage snapshot must still be loadable");
-    let want = try_resume_pipeline_from(&clean_cfg, PipelineKind::SlimPipe, 6, 0.2, snap)
+    let kind = PipelineKind::SlimPipe;
+    let want = try_resume_pipeline_from_traced(&clean_cfg, kind, 6, 0.2, snap, &trace)
         .expect("clean resume");
     assert_bit_identical(&outcome.result, &want);
     clean_ckpt_files(&path);
@@ -115,7 +117,8 @@ fn infeasible_cap_fails_recovery_with_a_structured_error() {
         ..ExecConfig::small()
     };
     let mut replanner = recovery_replanner(reference_profile(), Some(16));
-    let err = run_elastic(&cfg, &DriverCfg::default(), 6, 0.2, &mut replanner)
+    let trace = TraceSession::from_env().0;
+    let err = run_elastic_traced(&cfg, &DriverCfg::default(), 6, 0.2, &mut replanner, &trace)
         .expect_err("a 16-byte cap cannot fit any plan");
     assert!(
         matches!(err, ExecError::InvalidConfig(ref s) if s.contains("recovery re-plan")),

@@ -14,9 +14,11 @@ use slimpipe::exec::checkpoint::snapshot_path;
 use slimpipe::exec::fault::InjectedPanic;
 use slimpipe::exec::model::{CheckpointCfg, ExecConfig};
 use slimpipe::exec::schedule::PipelineKind;
-use slimpipe::exec::train::try_resume_pipeline_from;
+use slimpipe::exec::train::try_resume_pipeline_from_traced;
 use slimpipe::exec::verify::assert_bit_identical;
-use slimpipe::exec::{run_elastic, CheckpointState, DriverCfg, FaultKind, FaultPlan, FaultSite};
+use slimpipe::exec::{
+    run_elastic_traced, CheckpointState, DriverCfg, FaultKind, FaultPlan, FaultSite, TraceSession,
+};
 use slimpipe::planner::{recovery_replanner, reference_profile};
 
 fn main() {
@@ -41,16 +43,15 @@ fn main() {
     // 2-stage job, checkpoint every 2 iterations, keep the newest 2
     // snapshots. The default fault: stage 1 panics at iteration 3 (the
     // env hook `SLIMPIPE_FAULT_PLAN` overrides it when set).
-    let mut cfg = ExecConfig {
+    let default_site = FaultSite { iteration: 3, stage: 1, mb: 0, slice: 1 };
+    let fault_plan = FaultPlan::from_env()
+        .expect("SLIMPIPE_FAULT_PLAN must name a valid fault plan")
+        .unwrap_or_else(|| FaultPlan::single(default_site, FaultKind::StagePanic));
+    let cfg = ExecConfig {
         checkpoint: Some(CheckpointCfg { every: 2, path: path.clone(), keep_last: 2 }),
+        fault_plan: Some(fault_plan),
         ..ExecConfig::small()
     };
-    if std::env::var("SLIMPIPE_FAULT_PLAN").is_err() {
-        cfg.fault_plan = Some(FaultPlan::single(
-            FaultSite { iteration: 3, stage: 1, mb: 0, slice: 1 },
-            FaultKind::StagePanic,
-        ));
-    }
     let steps = 6;
     let lr = 0.2;
     println!(
@@ -64,7 +65,8 @@ fn main() {
     // The planner-backed replanner re-runs the calibrated search at the
     // surviving geometry, pricing the degraded boundary link.
     let mut replanner = recovery_replanner(reference_profile(), None);
-    let outcome = run_elastic(&cfg, &DriverCfg::default(), steps, lr, &mut replanner)
+    let (driver, untraced) = (DriverCfg::default(), TraceSession::disabled());
+    let outcome = run_elastic_traced(&cfg, &driver, steps, lr, &mut replanner, &untraced)
         .expect("the demo fault is recoverable");
 
     print!("{}", outcome.log);
@@ -78,15 +80,11 @@ fn main() {
     // Determinism contract: the healed run's bits match a clean resume of
     // the re-planned config from the snapshot the driver restored.
     if let Some(ev) = outcome.log.events.first().filter(|e| e.resumed_from > 0) {
-        // An *empty* plan, not `None`: a bare `None` would let the resume
-        // entry point re-adopt `SLIMPIPE_FAULT_PLAN` from the environment.
-        let clean_cfg = ExecConfig {
-            fault_plan: Some(FaultPlan::default()),
-            ..outcome.final_config.clone()
-        };
+        let clean_cfg = ExecConfig { fault_plan: None, ..outcome.final_config.clone() };
         let snap = CheckpointState::load(&snapshot_path(&path, ev.resumed_from as u64), &clean_cfg)
             .expect("restore-point snapshot");
-        let want = try_resume_pipeline_from(&clean_cfg, PipelineKind::SlimPipe, steps, lr, snap)
+        let kind = PipelineKind::SlimPipe;
+        let want = try_resume_pipeline_from_traced(&clean_cfg, kind, steps, lr, snap, &untraced)
             .expect("clean resume");
         assert_bit_identical(&outcome.result, &want);
         println!("bit-identity vs clean resume at the surviving geometry: OK");

@@ -7,8 +7,9 @@
 
 use slimpipe::exec::model::ExecConfig;
 use slimpipe::exec::schedule::PipelineKind;
-use slimpipe::exec::train::{run_pipeline, run_reference};
+use slimpipe::exec::train::{run_reference, try_run_pipeline_traced};
 use slimpipe::exec::verify::compare;
+use slimpipe::exec::TraceSession;
 
 fn main() {
     // A tiny Llama-style model: 4 layers, GQA (4 query heads, 2 KV heads),
@@ -28,7 +29,9 @@ fn main() {
     let steps = 5;
     let lr = 0.3;
     println!("training {steps} steps on the pipeline (threads = devices)...");
-    let pipe = run_pipeline(&cfg, PipelineKind::SlimPipe, steps, lr);
+    let untraced = TraceSession::disabled();
+    let pipe = try_run_pipeline_traced(&cfg, PipelineKind::SlimPipe, steps, lr, &untraced)
+        .expect("clean pipeline run");
     println!("training {steps} steps on a single device for reference...");
     let reference = run_reference(&cfg, steps, lr);
 

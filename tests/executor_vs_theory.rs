@@ -4,7 +4,7 @@
 
 use slimpipe::exec::model::ExecConfig;
 use slimpipe::exec::schedule::PipelineKind;
-use slimpipe::exec::train::run_pipeline;
+use slimpipe::exec::verify;
 
 fn base() -> ExecConfig {
     ExecConfig {
@@ -22,7 +22,7 @@ fn executor_peak_scales_down_with_slice_count() {
     let mut peaks = Vec::new();
     for n in [2usize, 4, 8, 16] {
         let cfg = ExecConfig { slices: n, ..base() };
-        let r = run_pipeline(&cfg, PipelineKind::SlimPipe, 1, 0.1);
+        let r = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.1).unwrap();
         peaks.push((n, r.peak_act_bytes[0]));
     }
     for w in peaks.windows(2) {
@@ -42,11 +42,11 @@ fn executor_peak_scales_down_with_slice_count() {
 #[test]
 fn executor_scheme_memory_ordering_matches_table2() {
     // SlimPipe < 1F1B < TeraPipe ≈ GPipe in executor-measured bytes.
-    let slim = run_pipeline(&base(), PipelineKind::SlimPipe, 1, 0.1);
-    let tera = run_pipeline(&base(), PipelineKind::TeraPipe, 1, 0.1);
+    let slim = verify::run(&base(), PipelineKind::SlimPipe, 1, 0.1).unwrap();
+    let tera = verify::run(&base(), PipelineKind::TeraPipe, 1, 0.1).unwrap();
     let classic_cfg = ExecConfig { slices: 1, ..base() };
-    let ofob = run_pipeline(&classic_cfg, PipelineKind::OneFOneB, 1, 0.1);
-    let gpipe = run_pipeline(&classic_cfg, PipelineKind::GPipe, 1, 0.1);
+    let ofob = verify::run(&classic_cfg, PipelineKind::OneFOneB, 1, 0.1).unwrap();
+    let gpipe = verify::run(&classic_cfg, PipelineKind::GPipe, 1, 0.1).unwrap();
 
     let d0 = |r: &slimpipe::exec::train::RunResult| r.peak_act_bytes[0];
     assert!(d0(&slim) < d0(&ofob), "slim {} < 1f1b {}", d0(&slim), d0(&ofob));
@@ -57,7 +57,7 @@ fn executor_scheme_memory_ordering_matches_table2() {
 #[test]
 fn first_device_holds_more_than_last_under_slimpipe() {
     // §6.2: the first device accumulates 2(p-1) extra slices.
-    let r = run_pipeline(&base(), PipelineKind::SlimPipe, 1, 0.1);
+    let r = verify::run(&base(), PipelineKind::SlimPipe, 1, 0.1).unwrap();
     assert!(
         r.peak_act_bytes[0] > r.peak_act_bytes[1],
         "first {} vs last {}",
@@ -69,13 +69,14 @@ fn first_device_holds_more_than_last_under_slimpipe() {
 #[test]
 fn exchange_and_vocab_parallel_do_not_change_losses() {
     // Feature toggles are pure re-schedulings: same losses either way.
-    let plain = run_pipeline(&base(), PipelineKind::SlimPipe, 2, 0.2);
-    let full = run_pipeline(
+    let plain = verify::run(&base(), PipelineKind::SlimPipe, 2, 0.2).unwrap();
+    let full = verify::run(
         &ExecConfig { exchange: true, vocab_parallel: true, ..base() },
         PipelineKind::SlimPipe,
         2,
         0.2,
-    );
+    )
+    .unwrap();
     for (a, b) in plain.losses.iter().zip(&full.losses) {
         assert!((a - b).abs() < 1e-4, "{a} vs {b}");
     }
