@@ -140,28 +140,6 @@ fn bench_fault_overhead(c: &mut Criterion) {
     g.finish();
 }
 
-/// The async exchange runtime vs. its serialized fallback, back-to-back
-/// on the same exchange-heavy workload: double-buffered boundary channels
-/// with posted sends and up-front remote dispatch vs. one blocking
-/// rendezvous per chunk. On a multi-core host overlapping comm with
-/// compute should win outright; on a 1-core host the regimes interleave
-/// on the same CPU and may tie. `bench_check` holds overlapped within the
-/// noise gate of serialized — overlap must never *cost*.
-fn bench_async_overlap(c: &mut Criterion) {
-    let mut g = c.benchmark_group("executor_async_overlap");
-    g.sample_size(10);
-    let base = ExecConfig { slices: 8, exchange: true, ..cfg() };
-    let serialized = ExecConfig { async_exchange: false, ..base.clone() };
-    let overlapped = ExecConfig { async_exchange: true, ..base };
-    g.bench_function("serialized", |b| {
-        b.iter(|| black_box(step(&serialized, PipelineKind::SlimPipe)))
-    });
-    g.bench_function("overlapped", |b| {
-        b.iter(|| black_box(step(&overlapped, PipelineKind::SlimPipe)))
-    });
-    g.finish();
-}
-
 /// The elastic recovery tax, end to end: the same supervised 6-iteration
 /// job run clean vs. with a stage panic at iteration 3. The failing run
 /// pays detection of the contained panic, the shrink-to-survivors re-plan,
@@ -279,7 +257,6 @@ criterion_group!(
     bench_feature_toggles,
     bench_fault_overhead,
     bench_recovery,
-    bench_async_overlap,
     bench_slicing_policies,
     bench_trace_overhead,
     bench_pool_cold_vs_warm,

@@ -180,10 +180,6 @@ fn main() -> ExitCode {
         // twin, measured back-to-back on the same workload: 0.83 ≈ 1/1.2.
         ("executor_fault_overhead/armed/plain", "executor_fault_overhead/clean/plain", 0.83),
         ("executor_fault_overhead/armed/both", "executor_fault_overhead/clean/both", 0.83),
-        // The async (overlapped) exchange runtime must never lose to its
-        // serialized fallback beyond noise, measured back-to-back: on a
-        // multi-core host it should win, on 1 core it may tie.
-        ("executor_async_overlap/overlapped", "executor_async_overlap/serialized", 0.83),
         // Fail-and-recover (panic detection + shrink re-plan + snapshot
         // restore + re-executed iterations) must stay within 2.5× the
         // clean twin of the same supervised job: recovery is a bounded

@@ -347,12 +347,6 @@ pub struct FtCtx<'a> {
     /// Sticky for the rest of the iteration once [`DegradePolicy::LocalFallback`]
     /// triggers: all chunks compute locally, no further exchange.
     pub local_only: bool,
-    /// Overlapped regime (`ExecConfig::async_exchange = true`): post every
-    /// remote chunk up front and compute local chunks while replies are in
-    /// flight. When false the exchange serializes — each remote chunk is
-    /// submitted and awaited before the next chunk is touched. Both regimes
-    /// fold partials in ascending chunk order, so they are bit-identical.
-    pub overlap: bool,
     /// Arm injected reply faults (DropReply/DelayReply) for this op. The
     /// stage loop arms them on the forward visit only, so a single planned
     /// fault fires once per unit instead of once per pass.
@@ -375,7 +369,6 @@ impl FtCtx<'_> {
             mb: 0,
             slice: 0,
             local_only: false,
-            overlap: true,
             reply_faults: true,
             rec: None,
         }
@@ -598,50 +591,6 @@ impl crate::layer::AttnExecutor for ExchangeRt<'_> {
             kv_offset: offsets[c],
             reply,
         };
-        if !self.ft.overlap {
-            // Serialized regime: submit each remote chunk and block on its
-            // reply before touching the next chunk — no comm/compute
-            // overlap. Fold order is the same ascending chunk order as the
-            // overlapped path, so the result is bit-identical.
-            let (mut drop_one, mut delay) = self.injected_op_faults();
-            let mut acc: Option<AttnPartial> = None;
-            for c in 0..chunks.len() {
-                let exec = self.map.executor_of(self.device, slice, c);
-                let p = if exec != self.device && !self.ft.local_only {
-                    if let Some(ms) = delay.take() {
-                        let _ = self.servers[exec].submit(ServerJob::Delay { ms });
-                    }
-                    let (rtx, rrx) = unbounded();
-                    let reply = if std::mem::take(&mut drop_one) {
-                        let (lost_tx, _lost) = unbounded();
-                        lost_tx
-                    } else {
-                        rtx.clone()
-                    };
-                    let submitted = self.servers[exec].submit(make_job(c, reply));
-                    match submitted {
-                        Ok(()) => match self.await_reply(&rrx, c, exec, |servers| {
-                            servers[exec].submit(make_job(c, rtx.clone()))
-                        })? {
-                            Recovered::Remote(p) => p,
-                            Recovered::ComputeLocal => attention::partial(
-                                q, chunks[c].0, chunks[c].1, cfg, q_offset, offsets[c],
-                            ),
-                        },
-                        Err(DeadServer(dev)) => {
-                            self.on_dead_server(dev)?;
-                            attention::partial(
-                                q, chunks[c].0, chunks[c].1, cfg, q_offset, offsets[c],
-                            )
-                        }
-                    }
-                } else {
-                    attention::partial(q, chunks[c].0, chunks[c].1, cfg, q_offset, offsets[c])
-                };
-                fold_partial(&mut acc, p, cfg);
-            }
-            return Ok(acc.expect("at least the diagonal chunk is visible"));
-        }
         // Dispatch remote chunks first (early exchange) — one reply channel
         // per chunk so results can be folded in *chunk* order, not arrival
         // order — then compute local chunks while peers work. We keep a
@@ -736,69 +685,6 @@ impl crate::layer::AttnExecutor for ExchangeRt<'_> {
                 reply,
             }
         };
-        if !self.ft.overlap {
-            // Serialized regime: one remote round-trip at a time, dQ
-            // accumulated in the same ascending chunk order as the
-            // overlapped path — bit-identical gradients.
-            let (mut drop_one, mut delay) = self.injected_op_faults();
-            let mut results: Vec<Option<(Tensor, Tensor)>> = vec![None; chunks.len()];
-            let mut dq = Tensor::zeros_pooled(q.rows(), cfg.q_width());
-            for c in 0..chunks.len() {
-                let exec = self.map.executor_of(self.device, slice, c);
-                let dq_c = if exec != self.device && !self.ft.local_only {
-                    if let Some(ms) = delay.take() {
-                        let _ = self.servers[exec].submit(ServerJob::Delay { ms });
-                    }
-                    let (tx1, rx1) = unbounded();
-                    let reply = if std::mem::take(&mut drop_one) {
-                        let (lost_tx, _lost) = unbounded();
-                        lost_tx
-                    } else {
-                        tx1.clone()
-                    };
-                    let submitted = self.servers[exec].submit(make_job(c, &d, reply));
-                    match submitted {
-                        Ok(()) => match self.await_reply(&rx1, c, exec, |servers| {
-                            servers[exec].submit(make_job(c, &d, tx1.clone()))
-                        })? {
-                            Recovered::Remote((dq_c, dk, dv)) => {
-                                results[c] = Some((dk, dv));
-                                dq_c
-                            }
-                            Recovered::ComputeLocal => {
-                                let (dq_c, dk, dv) = backward_chunk(
-                                    q, chunks[c].0, chunks[c].1, d_o, lse, &d, cfg,
-                                    q_offset, offsets[c],
-                                );
-                                results[c] = Some((dk, dv));
-                                dq_c
-                            }
-                        },
-                        Err(DeadServer(dev)) => {
-                            self.on_dead_server(dev)?;
-                            let (dq_c, dk, dv) = backward_chunk(
-                                q, chunks[c].0, chunks[c].1, d_o, lse, &d, cfg, q_offset,
-                                offsets[c],
-                            );
-                            results[c] = Some((dk, dv));
-                            dq_c
-                        }
-                    }
-                } else {
-                    let (dq_c, dk, dv) = backward_chunk(
-                        q, chunks[c].0, chunks[c].1, d_o, lse, &d, cfg, q_offset, offsets[c],
-                    );
-                    results[c] = Some((dk, dv));
-                    dq_c
-                };
-                dq.add_assign_recycle(dq_c);
-            }
-            pool::recycle(d);
-            return Ok((
-                dq,
-                results.into_iter().map(|r| r.expect("chunk computed")).collect(),
-            ));
-        }
         // Dispatch all remote chunk jobs first, each with its own reply
         // channel, then compute the local chunks while peers work.
         let (mut drop_one, mut delay) = self.injected_op_faults();

@@ -59,13 +59,12 @@ pub struct ExecConfig {
     pub stages: usize,
     pub vocab_parallel: bool,
     pub exchange: bool,
-    /// Async exchange runtime: boundary activations travel through bounded
-    /// double-buffered channels with a non-blocking posted-send overflow,
-    /// and exchange dispatches every remote chunk before computing local
-    /// ones (comm overlaps compute). `false` serializes every rendezvous —
-    /// each remote chunk is submitted and awaited before the next chunk
-    /// runs. Both regimes fold partials in ascending chunk order, so they
-    /// are bit-identical to each other and to exchange-off.
+    /// Must be `true`: the overlapped exchange runtime (bounded
+    /// double-buffered boundary channels with a non-blocking posted-send
+    /// overflow; exchange dispatches every remote chunk before computing
+    /// local ones) is the only one, and [`Self::validate`] rejects `false`.
+    /// The field remains only because the benchmark harness names it; the
+    /// next benchmark revision removes it.
     pub async_exchange: bool,
     /// Device activation-stash budget in bytes; stashes beyond it spill to
     /// host memory (§6.5). `None` disables offloading.
@@ -307,6 +306,11 @@ impl ExecConfig {
         if self.watchdog_ms == 0 || self.exchange_timeout_ms == 0 {
             return Err("watchdog and exchange timeouts must be positive".into());
         }
+        if !self.async_exchange {
+            return Err("async_exchange = false is not supported: the overlapped exchange \
+                        runtime is the only one"
+                .into());
+        }
         Ok(())
     }
 
@@ -422,6 +426,8 @@ mod tests {
         }
         .validate()
         .is_err());
+        let err = ExecConfig { async_exchange: false, ..base.clone() }.validate().unwrap_err();
+        assert!(err.contains("async_exchange"), "{err}");
         assert!(base.validate().is_ok());
     }
 

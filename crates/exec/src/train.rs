@@ -109,7 +109,7 @@ pub struct RunResult {
     /// cursor exactly once (pinned by the retry-accounting regression).
     pub final_cursors: Vec<(usize, u32, u32)>,
     /// Boundary activations handed off through the non-blocking post queue
-    /// (0 when `async_exchange` is off or the pipeline has one stage).
+    /// (0 when the pipeline has one stage).
     pub posted_sends: u64,
     /// Counter deltas and (for traced runs) span-derived run metrics.
     pub metrics: RunMetrics,
@@ -153,43 +153,17 @@ enum ActPayload {
 
 type ActMsg = (u32, u32, ActPayload);
 
-/// A guarded boundary send. Unbounded channels never block, so the only
-/// failure is a gone peer: if the run is already aborting this thread just
-/// drains; otherwise the disconnect is reported (the dead peer's own root
-/// cause, recorded by its `catch_unwind`, takes precedence in [`RunCtl`]).
-fn send_act(
-    tx: &Sender<ActMsg>,
-    msg: ActMsg,
-    ctl: &RunCtl,
-    stage: usize,
-    port: Port,
-) -> Result<(), ExecError> {
-    tx.send(msg).map_err(|_| Outbound::disconnect(ctl, stage, port))
-}
-
-/// Outbound half of a stage boundary, in one of two regimes. `Sync` is the
-/// serialized handoff: a plain send on an unbounded channel. `Posted` is
-/// the async exchange runtime: the channel is bounded (double-buffered),
-/// `send` never blocks — overflow spills into a FIFO post queue — and the
-/// spill drains on every `pump`, which runs at op starts and inside every
-/// guarded receive. Delivery order is the post order either way, so the
-/// receiver observes an identical message stream in both regimes.
-enum Outbound {
-    Sync(Sender<ActMsg>),
-    Posted(PostQueue<ActMsg>),
-}
+/// Outbound half of a stage boundary: the channel is bounded
+/// (double-buffered), `send` never blocks — overflow spills into a FIFO
+/// post queue — and the spill drains on every `pump`, which runs at op
+/// starts and inside every guarded receive. Delivery order is the post
+/// order.
+struct Outbound(PostQueue<ActMsg>);
 
 impl Outbound {
-    fn new(tx: Sender<ActMsg>, asynchronous: bool) -> Self {
-        if asynchronous {
-            Outbound::Posted(PostQueue::new(tx))
-        } else {
-            Outbound::Sync(tx)
-        }
-    }
-
     /// A gone peer: drain quietly when the run is already aborting, report
-    /// the disconnect otherwise.
+    /// the disconnect otherwise (the dead peer's own root cause, recorded
+    /// by its `catch_unwind`, takes precedence in [`RunCtl`]).
     fn disconnect(ctl: &RunCtl, stage: usize, port: Port) -> ExecError {
         if ctl.aborted() {
             ExecError::Aborted { stage }
@@ -207,36 +181,20 @@ impl Outbound {
         stage: usize,
         port: Port,
     ) -> Result<(), ExecError> {
-        match self {
-            Outbound::Sync(tx) => send_act(tx, msg, ctl, stage, port),
-            Outbound::Posted(q) => match q.post(msg) {
-                Ok(_token) => {
-                    ctl.posted_sends.fetch_add(1, Ordering::Relaxed);
-                    Ok(())
-                }
-                Err(_) => Err(Self::disconnect(ctl, stage, port)),
-            },
-        }
+        self.0.post(msg).map_err(|_| Self::disconnect(ctl, stage, port))?;
+        ctl.posted_sends.fetch_add(1, Ordering::Relaxed);
+        Ok(())
     }
 
     /// Move spilled posts into freed channel slots; never blocks. Returns
     /// how many posts are *still* spilled (waiting for the peer to free a
     /// slot).
     fn pump(&mut self, ctl: &RunCtl, stage: usize, port: Port) -> Result<usize, ExecError> {
-        match self {
-            Outbound::Sync(_) => Ok(0),
-            Outbound::Posted(q) => q
-                .pump()
-                .map(|_| q.pending())
-                .map_err(|_| Self::disconnect(ctl, stage, port)),
-        }
+        self.0.pump().map(|_| self.0.pending()).map_err(|_| Self::disconnect(ctl, stage, port))
     }
 
     fn pending(&self) -> usize {
-        match self {
-            Outbound::Sync(_) => 0,
-            Outbound::Posted(q) => q.pending(),
-        }
+        self.0.pending()
     }
 }
 
@@ -371,11 +329,9 @@ impl StageRun {
         let m = self.cfg.microbatches;
         let watchdog = Duration::from_millis(self.cfg.watchdog_ms);
         let timeout = Duration::from_millis(self.cfg.exchange_timeout_ms);
-        // Outbound boundary handles: non-blocking post queues under the
-        // async exchange runtime, plain blocking senders otherwise.
-        let asynchronous = self.cfg.async_exchange;
-        let mut fwd_out = self.fwd_tx.clone().map(|tx| Outbound::new(tx, asynchronous));
-        let mut bwd_out = self.bwd_tx.clone().map(|tx| Outbound::new(tx, asynchronous));
+        // Outbound boundary handles: non-blocking post queues.
+        let mut fwd_out = self.fwd_tx.clone().map(|tx| Outbound(PostQueue::new(tx)));
+        let mut bwd_out = self.bwd_tx.clone().map(|tx| Outbound(PostQueue::new(tx)));
         // Per-thread span recorder: a private buffer on this stage's own
         // track, drained into the session at iteration boundaries. On a
         // disabled session `clock()` is `None` without ever reading the
@@ -459,7 +415,6 @@ impl StageRun {
                         mb,
                         slice: sl,
                         local_only,
-                        overlap: asynchronous,
                         reply_faults: matches!(op.kind, PassKind::Forward),
                         rec: Some(&rec),
                     },
@@ -968,7 +923,7 @@ fn run_from_inner(
         let mut fwd_rx: Vec<Option<Receiver<ActMsg>>> = vec![None];
         let mut bwd_tx: Vec<Option<Sender<ActMsg>>> = vec![None];
         let mut bwd_rx: Vec<Option<Receiver<ActMsg>>> = Vec::new();
-        // The async exchange runtime double-buffers each boundary at
+        // The exchange runtime double-buffers each boundary at
         // iteration granularity: a bounded channel sized for two
         // iterations' worth of units behind the stages' non-blocking post
         // queues, so a stage's legitimate schedule run-ahead (warmup
@@ -977,16 +932,14 @@ fn run_from_inner(
         // echoes, a wedged peer). A tighter bound buys no memory — the
         // spill behind it is unbounded — but costs a wakeup round-trip
         // per rate-limited message, which serializes the pipeline on few
-        // cores. The serialized regime keeps the historical unbounded
-        // blocking handoff.
+        // cores.
         let units: usize = (0..cfg.microbatches).map(|mb| cfg.slices_of(mb)).sum();
         let cap = 2 * units.max(1);
-        let boundary = || if cfg.async_exchange { bounded(cap) } else { unbounded() };
         for _ in 0..p.saturating_sub(1) {
-            let (ft, fr) = boundary();
+            let (ft, fr) = bounded(cap);
             fwd_tx.push(Some(ft));
             fwd_rx.push(Some(fr));
-            let (bt, br) = boundary();
+            let (bt, br) = bounded(cap);
             bwd_tx.push(Some(bt));
             bwd_rx.push(Some(br));
         }

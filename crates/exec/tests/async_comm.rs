@@ -1,10 +1,7 @@
-//! Async exchange runtime matrix: the double-buffered posted-send regime
-//! (`async_exchange: true`, the default) must be bit-identical to the
-//! fully serialized regime, to exchange-off local compute, and track the
-//! single-device reference — across worker-pool widths and under the
-//! fault matrix. The serialized fallback is a first-class code path (it
-//! is what the default config no longer exercises), so its fault
-//! recovery is pinned here too.
+//! Exchange runtime matrix: the overlapped, double-buffered posted-send
+//! runtime must be bit-identical to exchange-off local compute and track
+//! the single-device reference — across worker-pool widths and under the
+//! fault matrix with sends in flight.
 
 use slimpipe_exec::comm::ExchangeMap;
 use slimpipe_exec::model::ExecConfig;
@@ -33,12 +30,11 @@ fn fast_cfg() -> ExecConfig {
 }
 
 /// An exchange-enabled workload deep enough that remote chunks exist.
-fn exchange_cfg(asynchronous: bool) -> ExecConfig {
+fn exchange_cfg() -> ExecConfig {
     ExecConfig {
         stages: 2,
         slices: 8,
         exchange: true,
-        async_exchange: asynchronous,
         ..fast_cfg()
     }
 }
@@ -63,33 +59,31 @@ fn remote_site(cfg: &ExecConfig) -> (usize, u32, usize) {
 
 // ---- determinism matrix ----
 
-/// The tentpole guarantee: async-on ≡ async-off ≡ exchange-off, bit for
-/// bit, at every worker-pool width — and all of them track the
-/// single-device reference within the usual accumulation tolerance.
+/// The tentpole guarantee: overlapped exchange ≡ exchange-off, bit for
+/// bit, at every worker-pool width — and both track the single-device
+/// reference within the usual accumulation tolerance.
 #[test]
 fn async_regime_is_bit_identical_across_widths_and_transports() {
     let _g = width_lock();
-    let overlapped = exchange_cfg(true);
-    let want = run_reference(&overlapped, 2, 0.2);
+    let cfg = exchange_cfg();
+    let want = run_reference(&cfg, 2, 0.2);
     rayon::set_num_threads(1);
-    let narrow = verify::run(&overlapped, PipelineKind::SlimPipe, 2, 0.2).unwrap();
+    let narrow = verify::run(&cfg, PipelineKind::SlimPipe, 2, 0.2).unwrap();
     rayon::set_num_threads(0);
     for threads in [1usize, 4] {
         rayon::set_num_threads(threads);
-        let asynchronous = verify::run(&overlapped, PipelineKind::SlimPipe, 2, 0.2).unwrap();
-        let serialized = verify::run(&exchange_cfg(false), PipelineKind::SlimPipe, 2, 0.2).unwrap();
+        let exchanged = verify::run(&cfg, PipelineKind::SlimPipe, 2, 0.2).unwrap();
         let local = verify::run(
-            &ExecConfig { exchange: false, ..overlapped.clone() },
+            &ExecConfig { exchange: false, ..cfg.clone() },
             PipelineKind::SlimPipe,
             2,
             0.2,
         )
         .unwrap();
         rayon::set_num_threads(0);
-        assert_bit_identical(&asynchronous, &narrow);
-        assert_bit_identical(&serialized, &narrow);
+        assert_bit_identical(&exchanged, &narrow);
         assert_bit_identical(&local, &narrow);
-        let c = verify::compare(&asynchronous, &want);
+        let c = verify::compare(&exchanged, &want);
         assert!(
             c.max_loss_diff < 3e-3 && c.worst_grad_rel < 3e-3,
             "threads={threads}: loss diff {} / worst grad {} at {}",
@@ -100,66 +94,53 @@ fn async_regime_is_bit_identical_across_widths_and_transports() {
     }
 }
 
-/// Posted-send observability: the async runtime actually posts (the
-/// counter moves), the serialized runtime never does, and a clean run's
-/// fault statistics stay clean in both regimes.
+/// Posted-send observability: the runtime actually posts (the counter
+/// moves), and a clean run's fault statistics stay clean.
 #[test]
 fn posted_sends_counter_tracks_the_regime() {
     let _g = width_lock();
-    let asynchronous = verify::run(&exchange_cfg(true), PipelineKind::SlimPipe, 1, 0.2).unwrap();
-    assert!(
-        asynchronous.posted_sends > 0,
-        "async run posted no boundary sends (counter stuck at 0)"
-    );
-    assert_eq!(asynchronous.fault_stats, Default::default(), "clean async run degraded");
-    let serialized = verify::run(&exchange_cfg(false), PipelineKind::SlimPipe, 1, 0.2).unwrap();
-    assert_eq!(serialized.posted_sends, 0, "serialized run must never post");
-    assert_eq!(serialized.fault_stats, Default::default(), "clean serialized run degraded");
+    let r = verify::run(&exchange_cfg(), PipelineKind::SlimPipe, 1, 0.2).unwrap();
+    assert!(r.posted_sends > 0, "run posted no boundary sends (counter stuck at 0)");
+    assert_eq!(r.fault_stats, Default::default(), "clean run degraded");
 }
 
-// ---- fault matrix under both regimes ----
+// ---- fault matrix with sends in flight ----
 
-/// The PR 6 fault guarantees hold with sends in flight *and* on the
-/// serialized fallback: reply faults at a remote site recover bit-
-/// identically to the clean run under both regimes, and a dead server
-/// degrades by policy.
+/// The fault guarantees hold with sends in flight: reply faults at a
+/// remote site recover bit-identically to the clean run, and a dead
+/// server degrades by policy.
 #[test]
 fn reply_faults_recover_under_both_regimes() {
     let _g = width_lock();
-    for asynchronous in [true, false] {
-        let base = exchange_cfg(asynchronous);
-        let (st, sl, peer) = remote_site(&base);
-        let clean = verify::run(&base, PipelineKind::SlimPipe, 1, 0.2).unwrap();
-        for kind in [FaultKind::DropReply, FaultKind::DelayReply { ms: 250 }] {
-            let cfg = ExecConfig {
-                fault_plan: Some(FaultPlan::single(site(0, st, 0, sl), kind.clone())),
-                ..base.clone()
-            };
-            let r = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2)
-                .unwrap_or_else(|e| panic!("async={asynchronous} {kind:?}: {e}"));
-            assert!(
-                r.fault_stats.exchange_retries >= 1,
-                "async={asynchronous} {kind:?}: no retry recorded"
-            );
-            assert_bit_identical(&r, &clean);
-        }
-        // Dead server: structured failure under Abort, bit-identical local
-        // recompute under the degrading policies.
-        let plan = FaultPlan::single(site(0, st, 0, sl), FaultKind::ServerDeath { device: peer });
-        let cfg = ExecConfig { fault_plan: Some(plan.clone()), ..base.clone() };
-        let err = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2)
-            .expect_err("abort policy must surface the dead server");
-        assert!(
-            matches!(err, ExecError::ServerDied { .. } | ExecError::ExchangeTimeout { .. }),
-            "async={asynchronous}: got {err}"
-        );
-        for policy in [DegradePolicy::SkipMicrobatch, DegradePolicy::LocalFallback] {
-            let cfg = ExecConfig { policy, fault_plan: Some(plan.clone()), ..base.clone() };
-            let r = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2)
-                .expect("degrading policy must survive a dead server");
-            assert!(r.fault_stats.local_fallbacks >= 1, "async={asynchronous} {policy:?}");
-            assert_bit_identical(&r, &clean);
-        }
+    let base = exchange_cfg();
+    let (st, sl, peer) = remote_site(&base);
+    let clean = verify::run(&base, PipelineKind::SlimPipe, 1, 0.2).unwrap();
+    for kind in [FaultKind::DropReply, FaultKind::DelayReply { ms: 250 }] {
+        let cfg = ExecConfig {
+            fault_plan: Some(FaultPlan::single(site(0, st, 0, sl), kind.clone())),
+            ..base.clone()
+        };
+        let r = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2)
+            .unwrap_or_else(|e| panic!("{kind:?}: {e}"));
+        assert!(r.fault_stats.exchange_retries >= 1, "{kind:?}: no retry recorded");
+        assert_bit_identical(&r, &clean);
+    }
+    // Dead server: structured failure under Abort, bit-identical local
+    // recompute under the degrading policies.
+    let plan = FaultPlan::single(site(0, st, 0, sl), FaultKind::ServerDeath { device: peer });
+    let cfg = ExecConfig { fault_plan: Some(plan.clone()), ..base.clone() };
+    let err = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2)
+        .expect_err("abort policy must surface the dead server");
+    assert!(
+        matches!(err, ExecError::ServerDied { .. } | ExecError::ExchangeTimeout { .. }),
+        "got {err}"
+    );
+    for policy in [DegradePolicy::SkipMicrobatch, DegradePolicy::LocalFallback] {
+        let cfg = ExecConfig { policy, fault_plan: Some(plan.clone()), ..base.clone() };
+        let r = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2)
+            .expect("degrading policy must survive a dead server");
+        assert!(r.fault_stats.local_fallbacks >= 1, "{policy:?}");
+        assert_bit_identical(&r, &clean);
     }
 }
 
@@ -173,7 +154,7 @@ fn reply_faults_recover_under_both_regimes() {
 #[test]
 fn recovered_retry_counts_once_and_leaves_the_cursor_clean() {
     let _g = width_lock();
-    let base = exchange_cfg(true);
+    let base = exchange_cfg();
     let (st, sl, _) = remote_site(&base);
     let clean = verify::run(&base, PipelineKind::SlimPipe, 1, 0.2).unwrap();
     for kind in [FaultKind::DropReply, FaultKind::DelayReply { ms: 250 }] {
@@ -206,7 +187,7 @@ fn recovered_retry_counts_once_and_leaves_the_cursor_clean() {
 fn zero_timeouts_are_rejected_as_invalid_config() {
     for cfg in [
         ExecConfig { watchdog_ms: 0, ..fast_cfg() },
-        ExecConfig { exchange_timeout_ms: 0, ..exchange_cfg(true) },
+        ExecConfig { exchange_timeout_ms: 0, ..exchange_cfg() },
     ] {
         match verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2) {
             Err(ExecError::InvalidConfig(msg)) => {

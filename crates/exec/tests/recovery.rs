@@ -120,29 +120,26 @@ fn assert_recovers_bit_identically(
 
 // ---- the kill matrix ----
 
-/// Stage panic at iteration 3 of a 2-stage job, across worker widths and
-/// async exchange on/off: the driver shrinks to 1 stage, restores the
-/// iteration-2 snapshot, and finishes bit-identical to the clean twin.
+/// Stage panic at iteration 3 of a 2-stage exchange job, across worker
+/// widths: the driver shrinks to 1 stage, restores the iteration-2
+/// snapshot, and finishes bit-identical to the clean twin.
 #[test]
 fn stage_panic_recovery_matrix() {
     quiet_injected_panics();
     let _g = width_lock();
     for threads in [1usize, 4] {
-        for async_exchange in [false, true] {
-            rayon::set_num_threads(threads);
-            let tag = format!("panic_t{threads}_a{async_exchange}");
-            let path = unique_path(&tag);
-            clean_ckpt_files(&path);
-            let cfg = ExecConfig {
-                exchange: true,
-                async_exchange,
-                checkpoint: Some(CheckpointCfg { every: 2, path: path.clone(), keep_last: 0 }),
-                fault_plan: Some(FaultPlan::single(site(3, 1, 0, 1), FaultKind::StagePanic)),
-                ..fast_cfg()
-            };
-            assert_recovers_bit_identically(&cfg, 6, 1, 2, &tag);
-            clean_ckpt_files(&path);
-        }
+        rayon::set_num_threads(threads);
+        let tag = format!("panic_t{threads}");
+        let path = unique_path(&tag);
+        clean_ckpt_files(&path);
+        let cfg = ExecConfig {
+            exchange: true,
+            checkpoint: Some(CheckpointCfg { every: 2, path: path.clone(), keep_last: 0 }),
+            fault_plan: Some(FaultPlan::single(site(3, 1, 0, 1), FaultKind::StagePanic)),
+            ..fast_cfg()
+        };
+        assert_recovers_bit_identically(&cfg, 6, 1, 2, &tag);
+        clean_ckpt_files(&path);
     }
     rayon::set_num_threads(0);
 }

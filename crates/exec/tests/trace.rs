@@ -21,7 +21,6 @@ fn cfg() -> ExecConfig {
         slices: 4,
         microbatches: 2,
         exchange: true,
-        async_exchange: true,
         ..ExecConfig::small()
     }
 }

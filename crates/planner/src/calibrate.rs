@@ -1,7 +1,9 @@
 //! Micro-profiling harness: fit a [`CostProfile`] by timing the *real*
 //! executor kernels — the packed-GEMM + chunked-attention layer pass
 //! (`slimpipe_exec::layer`), the classic loss head, and the embedding
-//! edges — at a few token-range sizes.
+//! edges — at a few token-range sizes. The exchange overlap fraction `ov`
+//! comes from one traced two-stage exchange step: the run's own
+//! `1 − Σ exchange-wait / Σ compute`.
 //!
 //! The harness runs each `(tokens, prior-chunks)` point a few times and
 //! keeps the median, then least-squares-fits the `c0 + ct·t + cp·pairs`
@@ -169,39 +171,6 @@ fn time_embed_point(cfg: &ExecConfig, table: &Tensor, t: usize) -> (f64, f64) {
     (fwd_ns, bwd_ns)
 }
 
-/// Measure the comm-overlap fraction: time one untraced exchange step with
-/// the async runtime on, then off, and report the share of serialized time
-/// overlap hides. On one core the regimes share a CPU and the answer is
-/// ≈ 0; it opens up only when stage threads and servers run concurrently.
-fn measure_overlap(cfg: &ExecConfig, repeats: usize) -> f64 {
-    let off = TraceSession::disabled();
-    let step = |asynchronous: bool| -> f64 {
-        let run_cfg = ExecConfig {
-            stages: 2,
-            microbatches: 2,
-            exchange: true,
-            vocab_parallel: false,
-            async_exchange: asynchronous,
-            fault_plan: None,
-            checkpoint: None,
-            ..cfg.clone()
-        };
-        let t0 = Instant::now();
-        try_run_pipeline_traced(&run_cfg, PipelineKind::SlimPipe, 1, 1e-3, &off)
-            .expect("the overlap probe is a fault-free, checkpoint-free run");
-        t0.elapsed().as_nanos() as f64
-    };
-    // Warm both paths once (thread spawn + pool growth), then time.
-    step(true);
-    step(false);
-    let overlapped = median((0..repeats).map(|_| step(true)).collect());
-    let serialized = median((0..repeats).map(|_| step(false)).collect());
-    if serialized <= 0.0 || !serialized.is_finite() {
-        return 0.0;
-    }
-    (1.0 - overlapped / serialized).clamp(0.0, 1.0)
-}
-
 /// Run the calibration harness for `cfg`'s model shape and fit a profile.
 pub fn calibrate(cfg: &ExecConfig, opts: &CalibrationOpts) -> CostProfile {
     assert!(opts.repeats >= 1);
@@ -263,7 +232,22 @@ pub fn calibrate(cfg: &ExecConfig, opts: &CalibrationOpts) -> CostProfile {
     let (_, ef, _) = fit_linear3(&emb_f);
     let (_, eb, _) = fit_linear3(&emb_b);
 
-    let ov = measure_overlap(cfg, opts.repeats);
+    // `ov` is the probe step's own `1 − Σ exchange-wait / Σ compute`;
+    // only a traced run records the waits.
+    let probe = ExecConfig {
+        stages: 2,
+        microbatches: 2,
+        exchange: true,
+        vocab_parallel: false,
+        fault_plan: None,
+        checkpoint: None,
+        ..cfg.clone()
+    };
+    let ov = try_run_pipeline_traced(&probe, PipelineKind::SlimPipe, 1, 1e-3, &TraceSession::new())
+        .expect("the overlap probe is a fault-free, checkpoint-free run")
+        .metrics
+        .overlap_efficiency
+        .unwrap_or(0.0);
 
     CostProfile {
         shape: shape_of(cfg),
@@ -308,5 +292,6 @@ mod tests {
             price(p.b0, p.bt, p.bp) > 0.0 && price(p.f0, p.ft, p.fp) > 0.0,
             "priced costs must be positive"
         );
+        assert!((0.0..=1.0).contains(&p.ov), "ov {} outside [0, 1]", p.ov);
     }
 }

@@ -54,11 +54,6 @@ pub struct Comparison {
     pub predicted_bubble: f64,
     /// Mean of `|measured − predicted| / predicted` over `units`.
     pub mean_abs_unit_error: f64,
-    /// An honest, wait-time-based estimate of the exchange overlap factor
-    /// `ov`: `1 − Σ exchange-wait / Σ compute`, clamped to `[0, 1]`. The
-    /// planner's `CommOpts` assumes a fixed `ov`; this is what the run
-    /// actually achieved.
-    pub ov_estimate: f64,
     /// Full iterations of spans the trace held (the comparison uses the
     /// last one — steady state, past warmup).
     pub iterations_measured: usize,
@@ -78,14 +73,13 @@ impl fmt::Display for Comparison {
             "bubble:   measured {:.3} vs predicted {:.3}",
             self.measured_bubble, self.predicted_bubble
         )?;
-        writeln!(
+        write!(
             f,
             "per-unit: mean |error| {:.1}% over {} units ({} iterations measured)",
             self.mean_abs_unit_error * 100.0,
             self.units.len(),
             self.iterations_measured
-        )?;
-        write!(f, "overlap:  ov ≈ {:.2} from measured exchange waits", self.ov_estimate)
+        )
     }
 }
 
@@ -118,7 +112,6 @@ pub fn compare_run(
     let mut units = Vec::new();
     let (mut t_min, mut t_max) = (f64::INFINITY, f64::NEG_INFINITY);
     let mut busy = vec![0.0f64; p];
-    let (mut total_busy, mut total_wait) = (0.0f64, 0.0f64);
     let mut iterations = usize::MAX;
     #[allow(clippy::needless_range_loop)] // d indexes tracks, timeline, ops, and busy alike
     for d in 0..p {
@@ -163,13 +156,6 @@ pub fn compare_run(
             t_min = t_min.min(span.start_us);
             t_max = t_max.max(span.start_us + span.dur_us);
         }
-        total_busy += compute.iter().map(|s| s.dur_us * 1e-6).sum::<f64>();
-        total_wait += track
-            .spans
-            .iter()
-            .filter(|s| matches!(s.kind, SpanKind::ExchangeWait { .. }))
-            .map(|s| s.dur_us * 1e-6)
-            .sum::<f64>();
     }
 
     let measured_makespan_s = ((t_max - t_min) * 1e-6).max(0.0);
@@ -182,11 +168,6 @@ pub fn compare_run(
             .sum::<f64>()
             / units.len() as f64
     };
-    let ov_estimate = if total_busy > 0.0 {
-        (1.0 - total_wait / total_busy).clamp(0.0, 1.0)
-    } else {
-        0.0
-    };
     Ok(Comparison {
         measured_makespan_s,
         predicted_makespan_s: sim.makespan,
@@ -194,7 +175,6 @@ pub fn compare_run(
         measured_bubble: slimpipe_sim::metrics::bubble_fraction(&busy, measured_makespan_s),
         predicted_bubble: sim.bubble_fraction,
         mean_abs_unit_error,
-        ov_estimate,
         iterations_measured: iterations,
         units,
     })

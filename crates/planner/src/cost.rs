@@ -63,8 +63,8 @@ impl<'a> ProfiledCostModel<'a> {
 
     /// Price boundary traffic over a real link: `bytes_per_token` of
     /// activation per boundary crossing, with `overlap` of the transfer
-    /// hidden behind compute (the async regime) — `overlap = 0` prices the
-    /// serialized handoff.
+    /// hidden behind compute (the profile's measured `ov`) — `overlap = 0`
+    /// prices a fully exposed handoff.
     pub fn with_comm(mut self, link: Link, bytes_per_token: f64, overlap: f64) -> Self {
         self.link = link;
         self.send_bytes_per_token = bytes_per_token;

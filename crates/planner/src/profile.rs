@@ -55,13 +55,12 @@ pub struct CostProfile {
     pub ef: f64,
     /// Embedding scatter-add (stage 0), backward per token.
     pub eb: f64,
-    /// Measured comm/compute overlap of the executor's async exchange
-    /// runtime, in `[0, 1]`: the fraction of boundary-transfer time hidden
-    /// behind compute (`1 − overlapped/serialized` step time). Unlike the
-    /// other coefficients this is a dimensionless fraction, not
+    /// Measured comm/compute overlap of the executor's exchange runtime, in
+    /// `[0, 1]`: `1 − Σ exchange-wait / Σ compute` of one overlapped step.
+    /// Unlike the other coefficients this is a dimensionless fraction, not
     /// nanoseconds; it lives in the same `coeffs_ns` block for the
-    /// simplicity of the committed-profile format. 0 = the serialized
-    /// regime (also the default when an older profile omits the key).
+    /// simplicity of the committed-profile format. 0 = nothing hidden
+    /// (also the default when an older profile omits the key).
     pub ov: f64,
 }
 
@@ -169,7 +168,7 @@ impl CostProfile {
             ef: num("ef")?,
             eb: num("eb")?,
             // Older committed profiles predate the overlap coefficient:
-            // absent means the serialized regime.
+            // absent means no overlap.
             ov: num("ov").unwrap_or(0.0),
         };
         p.validate()?;
@@ -319,8 +318,8 @@ mod tests {
         let p = toy_profile();
         let q = CostProfile::from_json(&p.to_json()).unwrap();
         assert!((q.ov - 0.25).abs() < 1e-3);
-        // A committed profile that predates the coefficient parses as the
-        // serialized regime (the scanner ignores the dangling comma).
+        // A committed profile that predates the coefficient parses as no
+        // overlap (the scanner ignores the dangling comma).
         let legacy: String = p
             .to_json()
             .lines()

@@ -51,7 +51,6 @@ fn main() {
         microbatches: 4,
         seq: 128,
         exchange: true,
-        async_exchange: true,
         ..ExecConfig::small()
     };
     let steps = 3;
