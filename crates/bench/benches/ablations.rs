@@ -1,4 +1,5 @@
-//! Ablation benchmarks for the design choices DESIGN.md §5 calls out:
+//! Ablation benchmarks for the design choices the README's "Paper
+//! experiments" section calls out:
 //! uniform vs pair-balanced slicing, context exchange on/off, early-KV
 //! exchange on/off, vocabulary parallelism on/off, and chunked vs
 //! monolithic KV handling in the real executor.

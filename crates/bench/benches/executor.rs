@@ -12,7 +12,7 @@ use slimpipe_exec::model::{CheckpointCfg, ExecConfig};
 use slimpipe_exec::schedule::PipelineKind;
 use slimpipe_exec::train::{run_reference, try_run_pipeline_traced, RunResult};
 use slimpipe_exec::{
-    run_elastic_traced, DegradePolicy, DriverCfg, FaultKind, FaultPlan, FaultSite, ShrinkReplanner,
+    run_elastic_traced, DriverCfg, FaultKind, FaultPlan, FaultSite, ShrinkReplanner,
     SlicePolicy, TraceSession,
 };
 use slimpipe_tensor::pool;
@@ -105,8 +105,8 @@ fn bench_slicing_policies(c: &mut Criterion) {
 
 /// The fault-tolerance hot-path tax: identical training steps with the
 /// runtime fully armed — a fault plan that is consulted at every op but
-/// never fires, a non-abort degradation policy, and the guarded
-/// rendezvous/watchdog machinery live on every channel wait. Each armed
+/// never fires, and the guarded rendezvous/watchdog machinery live on
+/// every channel wait. Each armed
 /// series is measured back-to-back with a clean twin of the same workload
 /// (temporal noise on a shared host dwarfs the effect when the comparison
 /// spans the whole bench run); `bench_check` holds armed within the
@@ -126,7 +126,6 @@ fn bench_fault_overhead(c: &mut Criterion) {
     for (name, exchange, vp) in [("plain", false, false), ("both", true, true)] {
         let clean = ExecConfig { exchange, vocab_parallel: vp, ..base.clone() };
         let armed = ExecConfig {
-            policy: DegradePolicy::SkipMicrobatch,
             fault_plan: Some(idle_plan.clone()),
             ..clean.clone()
         };

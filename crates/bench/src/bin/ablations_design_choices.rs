@@ -1,7 +1,7 @@
-//! Ablations for the design choices DESIGN.md §5 calls out: each row turns
-//! one SlimPipe mechanism off (or swaps the alternative in) and reports the
-//! cost, using the simulator for scale effects and closed forms/walks for
-//! memory.
+//! Ablations for the design choices the README's "Paper experiments"
+//! section calls out: each row turns one SlimPipe mechanism off (or swaps
+//! the alternative in) and reports the cost, using the simulator for scale
+//! effects and closed forms/walks for memory.
 
 use slimpipe_bench::{print_table, scheme_env};
 use slimpipe_core::memory::measured_act_rel;

@@ -1,9 +1,9 @@
 //! Shared harness for the experiment binaries that regenerate every table
-//! and figure of the paper (see DESIGN.md §3 for the index).
+//! and figure of the paper (the README's "Paper experiments" section is the
+//! index).
 //!
-//! Each binary prints the same rows/series the paper reports; EXPERIMENTS.md
-//! records paper-reported vs. measured values. Run any of them with
-//! `cargo run --release -p slimpipe-bench --bin <id>`.
+//! Each binary prints the same rows/series the paper reports. Run any of
+//! them with `cargo run --release -p slimpipe-bench --bin <id>`.
 
 use slimpipe_cluster::{Cluster, Efficiency};
 use slimpipe_core::theory::Scheme;

@@ -14,7 +14,8 @@
 //!    very fine-grained passes.
 //!
 //! The constants are calibrated so end-to-end simulated MFUs land in the
-//! paper's reported 15–50 % band; see EXPERIMENTS.md for the comparison.
+//! paper's reported 15–50 % band; `fig12_end_to_end` and `fig13_scheme_mfu`
+//! print them (README, "Paper experiments").
 
 /// Operator class, for efficiency selection and ZB-V's B/W decomposition.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Hash)]

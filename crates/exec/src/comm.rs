@@ -18,14 +18,13 @@
 //!
 //! Fault tolerance: no rendezvous here can hang or abort the process.
 //! Replies are awaited with `recv_timeout` under a bounded retry/backoff
-//! loop; a dead or wedged server surfaces as a structured
-//! [`ExecError`] naming the blocked unit — or, under a degradation
-//! policy, the chunk is recomputed locally (KV is always locally
-//! resident; exchange is an optimization, so the fallback is
-//! bit-identical). Server threads run under `catch_unwind`, so even a
-//! server panic becomes a disconnect, never a process abort.
+//! loop; a lost reply is resubmitted, and a dead or wedged server surfaces
+//! as a structured [`ExecError`] naming the blocked unit, which the elastic
+//! driver heals by restoring onto the survivors. Server threads run under
+//! `catch_unwind`, so even a server panic becomes a disconnect, never a
+//! process abort.
 
-use crate::fault::{DegradePolicy, ExecError, FaultKind, FaultPlan, InjectedPanic, Port, RunCtl};
+use crate::fault::{ExecError, FaultKind, FaultPlan, InjectedPanic, Port, RunCtl};
 use crate::model::ExecConfig;
 use crossbeam::channel::{unbounded, Receiver, RecvTimeoutError, Sender};
 use slimpipe_core::exchange::{plan_round_slicing, steady_round_slices};
@@ -91,9 +90,6 @@ pub enum ServerJob {
     /// Apply one SGD step to the vocabulary shard and clear its gradient
     /// (issued once per iteration by the last stage).
     SgdStep { lr: f32, reply: Sender<()> },
-    /// Scale the shard's gradient accumulator (skip-and-renormalize: the
-    /// last stage rescales surviving gradients over the surviving tokens).
-    ScaleGrad { factor: f32, reply: Sender<()> },
     /// Fault injection: stall the server for `ms` before the next job,
     /// delaying its replies.
     Delay { ms: u64 },
@@ -141,7 +137,7 @@ fn serve(
     rec: &mut Option<SpanRecorder>,
 ) {
     while let Ok(job) = rx.recv() {
-        // Span the compute jobs only; control traffic (sgd/scale/stop) and
+        // Span the compute jobs only; control traffic (sgd/stop) and
         // injected faults are not work the schedule accounts for.
         let t0 = match (&job, rec.as_ref()) {
             (
@@ -203,12 +199,6 @@ fn serve(
                 if let Some(s) = shard.as_mut() {
                     s.w.axpy(-lr, &s.grad);
                     s.grad.fill(0.0);
-                }
-                let _ = reply.send(());
-            }
-            ServerJob::ScaleGrad { factor, reply } => {
-                if let Some(s) = shard.as_mut() {
-                    s.grad.scale(factor);
                 }
                 let _ = reply.send(());
             }
@@ -331,12 +321,10 @@ impl ExchangeMap {
 }
 
 /// Fault-tolerance context of one op on one stage thread: the injection
-/// plan, the degradation policy, the retry budget, and the shared run
-/// control. `detached()` gives the no-injection defaults used by tests and
-/// the demo.
+/// plan, the retry budget, and the shared run control. `detached()` gives
+/// the no-injection defaults used by tests and the demo.
 pub struct FtCtx<'a> {
     pub plan: Option<&'a FaultPlan>,
-    pub policy: DegradePolicy,
     /// First-attempt reply timeout; doubles per retry (bounded backoff).
     pub timeout: Duration,
     pub retries: u32,
@@ -344,9 +332,6 @@ pub struct FtCtx<'a> {
     pub iteration: usize,
     pub mb: u32,
     pub slice: u32,
-    /// Sticky for the rest of the iteration once [`DegradePolicy::LocalFallback`]
-    /// triggers: all chunks compute locally, no further exchange.
-    pub local_only: bool,
     /// Arm injected reply faults (DropReply/DelayReply) for this op. The
     /// stage loop arms them on the forward visit only, so a single planned
     /// fault fires once per unit instead of once per pass.
@@ -361,14 +346,12 @@ impl FtCtx<'_> {
     pub fn detached() -> Self {
         FtCtx {
             plan: None,
-            policy: DegradePolicy::Abort,
             timeout: Duration::from_secs(2),
             retries: 3,
             ctl: None,
             iteration: 0,
             mb: 0,
             slice: 0,
-            local_only: false,
             reply_faults: true,
             rec: None,
         }
@@ -391,27 +374,17 @@ impl FtCtx<'_> {
         }
     }
 
-    fn count(&self, f: impl Fn(&RunCtl) -> &std::sync::atomic::AtomicU64) {
+    fn count_retry(&self) {
         if let Some(c) = self.ctl {
-            f(c).fetch_add(1, Ordering::Relaxed);
+            c.exchange_retries.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
 
-/// What `await_reply` tells the fold loop to do for a remote chunk.
-enum Recovered<T> {
-    /// The remote partial arrived (possibly after retries).
-    Remote(T),
-    /// Exchange gave up under a degradation policy: compute locally.
-    ComputeLocal,
-}
-
 /// Runtime attention executor with context exchange: local chunks run
 /// in-thread, remote chunks ship to peer servers, partials merge by online
-/// softmax. Replies are awaited under timeout + bounded retry; exhaustion
-/// either fails the run ([`DegradePolicy::Abort`]) or falls back to local
-/// compute — which is bit-identical, because every KV chunk this device
-/// attends is resident in its own cache.
+/// softmax. Replies are awaited under timeout + bounded retry; a dead
+/// server or an exhausted budget fails the run with a structured error.
 pub struct ExchangeRt<'a> {
     pub device: usize,
     pub servers: &'a [ServerHandle],
@@ -420,29 +393,21 @@ pub struct ExchangeRt<'a> {
 }
 
 impl<'a> ExchangeRt<'a> {
-    /// Exchange runtime with no fault plan and abort-on-trouble defaults.
+    /// Exchange runtime with no fault plan and the default retry budget.
     pub fn new(device: usize, servers: &'a [ServerHandle], map: &'a ExchangeMap) -> Self {
         ExchangeRt { device, servers, map, ft: FtCtx::detached() }
     }
 
-    /// A dispatch-time dead server: abort policy fails the run; otherwise
-    /// the chunk falls back to local compute.
-    fn on_dead_server(&mut self, device: usize) -> Result<(), ExecError> {
-        if self.ft.policy == DegradePolicy::Abort {
-            let e = ExecError::ServerDied {
-                device,
-                stage: self.device,
-                mb: self.ft.mb,
-                slice: self.ft.slice,
-            };
-            self.ft.fail(&e);
-            return Err(e);
-        }
-        self.ft.count(|c| &c.local_fallbacks);
-        if self.ft.policy == DegradePolicy::LocalFallback {
-            self.ft.local_only = true;
-        }
-        Ok(())
+    /// A dispatch-time dead server fails the run.
+    fn dead_server(&self, device: usize) -> ExecError {
+        let e = ExecError::ServerDied {
+            device,
+            stage: self.device,
+            mb: self.ft.mb,
+            slice: self.ft.slice,
+        };
+        self.ft.fail(&e);
+        e
     }
 
     /// Await a remote chunk's reply with bounded retry/backoff,
@@ -452,12 +417,12 @@ impl<'a> ExchangeRt<'a> {
     /// budget converts into a structured give-up.
     #[allow(clippy::too_many_arguments)]
     fn await_reply<T>(
-        &mut self,
+        &self,
         rrx: &Receiver<T>,
         chunk: usize,
         exec: usize,
         resubmit: impl FnMut(&[ServerHandle]) -> Result<(), DeadServer>,
-    ) -> Result<Recovered<T>, ExecError> {
+    ) -> Result<T, ExecError> {
         // The whole wait — first receive through every retry — is one
         // `ExchangeWait` span on the stage's track (nested inside the
         // enclosing `Compute` span; the clock is untouched when disabled).
@@ -477,21 +442,21 @@ impl<'a> ExchangeRt<'a> {
     }
 
     fn await_reply_inner<T>(
-        &mut self,
+        &self,
         rrx: &Receiver<T>,
         chunk: usize,
         exec: usize,
         mut resubmit: impl FnMut(&[ServerHandle]) -> Result<(), DeadServer>,
-    ) -> Result<Recovered<T>, ExecError> {
+    ) -> Result<T, ExecError> {
         let mut attempts = 0u32;
         loop {
             let wait = self.timeout_for_attempt(attempts);
             match rrx.recv_timeout(wait) {
-                Ok(v) => return Ok(Recovered::Remote(v)),
+                Ok(v) => return Ok(v),
                 Err(RecvTimeoutError::Disconnected) => {
                     // Unreachable by construction (we hold a sender clone);
                     // treat defensively as a dead server.
-                    return self.give_up(chunk, exec, attempts + 1).map(|_| Recovered::ComputeLocal);
+                    return Err(self.give_up(chunk, exec, attempts + 1));
                 }
                 Err(RecvTimeoutError::Timeout) => {
                     if self.ft.aborted() {
@@ -501,20 +466,18 @@ impl<'a> ExchangeRt<'a> {
                         // Count each reply that needed resubmission once —
                         // not once per resubmission — so a reply recovered
                         // on the Nth retry is one recovered unit in the
-                        // degradation statistics, not N.
+                        // fault statistics, not N.
                         if attempts == 0 {
-                            self.ft.count(|c| &c.exchange_retries);
+                            self.ft.count_retry();
                         }
                         attempts += 1;
                         if resubmit(self.servers).is_err() {
                             // Server is gone; no retry can succeed.
-                            return self
-                                .give_up(chunk, exec, attempts)
-                                .map(|_| Recovered::ComputeLocal);
+                            return Err(self.give_up(chunk, exec, attempts));
                         }
                         continue;
                     }
-                    return self.give_up(chunk, exec, attempts + 1).map(|_| Recovered::ComputeLocal);
+                    return Err(self.give_up(chunk, exec, attempts + 1));
                 }
             }
         }
@@ -525,27 +488,18 @@ impl<'a> ExchangeRt<'a> {
         self.ft.timeout.saturating_mul(1u32 << attempt.min(16))
     }
 
-    /// Retry budget exhausted. Abort policy: structured failure. Skip /
-    /// local-fallback: the caller computes the chunk locally (and
-    /// fallback makes that sticky for the iteration).
-    fn give_up(&mut self, chunk: usize, exec: usize, attempts: u32) -> Result<(), ExecError> {
-        if self.ft.policy == DegradePolicy::Abort {
-            let e = ExecError::ExchangeTimeout {
-                stage: self.device,
-                device: exec,
-                mb: self.ft.mb,
-                slice: self.ft.slice,
-                chunk,
-                attempts,
-            };
-            self.ft.fail(&e);
-            return Err(e);
-        }
-        self.ft.count(|c| &c.local_fallbacks);
-        if self.ft.policy == DegradePolicy::LocalFallback {
-            self.ft.local_only = true;
-        }
-        Ok(())
+    /// Retry budget exhausted: a structured failure naming the chunk.
+    fn give_up(&self, chunk: usize, exec: usize, attempts: u32) -> ExecError {
+        let e = ExecError::ExchangeTimeout {
+            stage: self.device,
+            device: exec,
+            mb: self.ft.mb,
+            slice: self.ft.slice,
+            chunk,
+            attempts,
+        };
+        self.ft.fail(&e);
+        e
     }
 
     /// Injected per-op faults: (lose the first remote reply?, delay the
@@ -601,7 +555,7 @@ impl crate::layer::AttnExecutor for ExchangeRt<'_> {
         let mut pending: Vec<Pending<AttnPartial>> = Vec::with_capacity(chunks.len());
         for c in 0..chunks.len() {
             let exec = self.map.executor_of(self.device, slice, c);
-            if exec != self.device && !self.ft.local_only {
+            if exec != self.device {
                 if let Some(ms) = delay.take() {
                     let _ = self.servers[exec].submit(ServerJob::Delay { ms });
                 }
@@ -615,13 +569,10 @@ impl crate::layer::AttnExecutor for ExchangeRt<'_> {
                 } else {
                     rtx.clone()
                 };
-                match self.servers[exec].submit(make_job(c, reply)) {
-                    Ok(()) => pending.push(Some((rrx, rtx, exec))),
-                    Err(DeadServer(dev)) => {
-                        self.on_dead_server(dev)?;
-                        pending.push(None);
-                    }
-                }
+                self.servers[exec]
+                    .submit(make_job(c, reply))
+                    .map_err(|DeadServer(dev)| self.dead_server(dev))?;
+                pending.push(Some((rrx, rtx, exec)));
             } else {
                 pending.push(None);
             }
@@ -636,21 +587,13 @@ impl crate::layer::AttnExecutor for ExchangeRt<'_> {
             .collect();
         // Deterministic fold, ascending chunk index — the identical
         // arithmetic order `attention::forward_chunked` uses, so a run with
-        // context exchange is bit-identical to one without (and so is the
-        // local-fallback path).
+        // context exchange is bit-identical to one without.
         let mut acc: Option<AttnPartial> = None;
         for (c, slot) in pending.into_iter().enumerate() {
             let p = match slot {
-                Some((rrx, rtx, exec)) => {
-                    match self.await_reply(&rrx, c, exec, |servers| {
-                        servers[exec].submit(make_job(c, rtx.clone()))
-                    })? {
-                        Recovered::Remote(p) => p,
-                        Recovered::ComputeLocal => attention::partial(
-                            q, chunks[c].0, chunks[c].1, cfg, q_offset, offsets[c],
-                        ),
-                    }
-                }
+                Some((rrx, rtx, exec)) => self.await_reply(&rrx, c, exec, |servers| {
+                    servers[exec].submit(make_job(c, rtx.clone()))
+                })?,
                 None => parts[c].take().expect("local partial computed above"),
             };
             fold_partial(&mut acc, p, cfg);
@@ -696,7 +639,7 @@ impl crate::layer::AttnExecutor for ExchangeRt<'_> {
         let mut dq = Tensor::zeros_pooled(q.rows(), cfg.q_width());
         for c in 0..chunks.len() {
             let exec = self.map.executor_of(self.device, slice, c);
-            if exec != self.device && !self.ft.local_only {
+            if exec != self.device {
                 if let Some(ms) = delay.take() {
                     let _ = self.servers[exec].submit(ServerJob::Delay { ms });
                 }
@@ -707,13 +650,10 @@ impl crate::layer::AttnExecutor for ExchangeRt<'_> {
                 } else {
                     tx1.clone()
                 };
-                match self.servers[exec].submit(make_job(c, &d, reply)) {
-                    Ok(()) => pending.push(Some((rx1, tx1, exec))),
-                    Err(DeadServer(dev)) => {
-                        self.on_dead_server(dev)?;
-                        pending.push(None);
-                    }
-                }
+                self.servers[exec]
+                    .submit(make_job(c, &d, reply))
+                    .map_err(|DeadServer(dev)| self.dead_server(dev))?;
+                pending.push(Some((rx1, tx1, exec)));
             } else {
                 pending.push(None);
             }
@@ -733,22 +673,11 @@ impl crate::layer::AttnExecutor for ExchangeRt<'_> {
         for (c, slot) in pending.into_iter().enumerate() {
             let dq_c = match slot {
                 Some((rx1, tx1, exec)) => {
-                    match self.await_reply(&rx1, c, exec, |servers| {
+                    let (dq_c, dk, dv) = self.await_reply(&rx1, c, exec, |servers| {
                         servers[exec].submit(make_job(c, &d, tx1.clone()))
-                    })? {
-                        Recovered::Remote((dq_c, dk, dv)) => {
-                            results[c] = Some((dk, dv));
-                            dq_c
-                        }
-                        Recovered::ComputeLocal => {
-                            let (dq_c, dk, dv) = backward_chunk(
-                                q, chunks[c].0, chunks[c].1, d_o, lse, &d, cfg, q_offset,
-                                offsets[c],
-                            );
-                            results[c] = Some((dk, dv));
-                            dq_c
-                        }
-                    }
+                    })?;
+                    results[c] = Some((dk, dv));
+                    dq_c
                 }
                 None => dq_parts[c].take().expect("local backward computed above"),
             };

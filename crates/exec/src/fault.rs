@@ -1,6 +1,6 @@
 //! Fault model of the executor: structured errors, deterministic fault
-//! injection, degradation policies, and the shared run-control block that
-//! drains a failing pipeline instead of hanging or aborting the process.
+//! injection, and the shared run-control block that drains a failing
+//! pipeline instead of hanging or aborting the process.
 //!
 //! Design rules:
 //!
@@ -8,14 +8,18 @@
 //!   [`ExecError`] variant naming the failed unit `(iteration, stage, mb,
 //!   slice)`. Stage and server threads are wrapped in `catch_unwind`, so
 //!   even a panic becomes an `ExecError` instead of a process abort.
+//! * **One response** — a run never degrades: the first primary failure
+//!   drains the pipeline and is returned. Healing is the elastic driver's
+//!   job ([`ExecError::is_recoverable`]), which restores the last snapshot
+//!   and loses no data.
 //! * **No hangs** — every cross-thread wait is a `recv_timeout` loop that
 //!   watches the shared abort flag and a watchdog deadline; a wedged
 //!   rendezvous reports the blocked `(stage, unit)` pair.
 //! * **Deterministic injection** — a [`FaultPlan`] names exact `(iteration,
-//!   stage, mb, slice)` sites. Fault handling decisions are made on the
-//!   owning stage thread in schedule order, so every recovery path is as
-//!   reproducible as a fault-free run and can be conformance-tested across
-//!   `RAYON_NUM_THREADS` like any other regime.
+//!   stage, mb, slice)` sites, matched on the owning stage thread in
+//!   schedule order, so every failure is as reproducible as a fault-free
+//!   run and can be conformance-tested across `RAYON_NUM_THREADS` like any
+//!   other regime.
 
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -56,8 +60,7 @@ pub enum ExecError {
     /// The watchdog caught a stage blocked on a rendezvous past the
     /// deadline and reports the blocked (stage, unit) pair.
     RendezvousStuck { stage: usize, mb: u32, slice: u32, port: Port, waited_ms: u64 },
-    /// A NaN/Inf loss or gradient under [`DegradePolicy::Abort`] (or one
-    /// that no policy could contain).
+    /// A NaN/Inf loss (always fatal: no geometry change heals numerics).
     NonFinite { stage: usize, iteration: usize, mb: u32, slice: u32, what: String },
     /// This thread stopped because another unit failed first; the primary
     /// error is recorded in the run control block.
@@ -319,33 +322,11 @@ fn parse_fault(obj: &str) -> Result<(FaultSite, FaultKind), String> {
     Ok((site, kind))
 }
 
-/// What the runtime does when a unit's loss goes non-finite or an exchange
-/// rendezvous cannot be completed.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum DegradePolicy {
-    /// Fail the run with a structured [`ExecError`] (the default: training
-    /// scripts should notice).
-    #[default]
-    Abort,
-    /// Drop the poisoned microbatch and renormalize the iteration's loss
-    /// and gradients over the surviving tokens.
-    SkipMicrobatch,
-    /// Exchange trouble only: recompute the chunk locally and stop
-    /// exchanging for the rest of the iteration. (KV chunks are always
-    /// locally resident — exchange is an optimization, so the fallback is
-    /// bit-identical.) Non-finite losses degrade like `SkipMicrobatch`.
-    LocalFallback,
-}
-
 /// Counters a run reports about its recovery activity.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
 pub struct FaultStats {
     /// Exchange replies that needed at least one resubmission.
     pub exchange_retries: u64,
-    /// Chunk jobs recomputed locally after exchange gave up.
-    pub local_fallbacks: u64,
-    /// Microbatches dropped and renormalized away.
-    pub skipped_microbatches: u64,
 }
 
 /// Shared run-control block: the first failure aborts the run; every other
@@ -355,8 +336,6 @@ pub struct RunCtl {
     abort: AtomicBool,
     err: Mutex<Option<ExecError>>,
     pub exchange_retries: AtomicU64,
-    pub local_fallbacks: AtomicU64,
-    pub skipped_microbatches: AtomicU64,
     /// Boundary activations handed off through the non-blocking post queue
     /// (async exchange runtime). Observability only — not a fault counter,
     /// so it reports outside [`FaultStats`].
@@ -395,8 +374,6 @@ impl RunCtl {
     pub fn stats(&self) -> FaultStats {
         FaultStats {
             exchange_retries: self.exchange_retries.load(Ordering::Relaxed),
-            local_fallbacks: self.local_fallbacks.load(Ordering::Relaxed),
-            skipped_microbatches: self.skipped_microbatches.load(Ordering::Relaxed),
         }
     }
 }

@@ -153,20 +153,6 @@ impl LayerGrads {
         self.norm2.fill(0.0);
     }
 
-    /// Rescale every accumulator in place (skip-and-renormalize).
-    pub fn scale(&mut self, factor: f32) {
-        self.wq.scale(factor);
-        self.wk.scale(factor);
-        self.wv.scale(factor);
-        self.wo.scale(factor);
-        self.w_gate.scale(factor);
-        self.w_up.scale(factor);
-        self.w_down.scale(factor);
-        for v in self.norm1.iter_mut().chain(self.norm2.iter_mut()) {
-            *v *= factor;
-        }
-    }
-
     /// Flat view for fingerprinting / comparisons.
     pub fn tensors(&self) -> Vec<(&'static str, &Tensor)> {
         vec![

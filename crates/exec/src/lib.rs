@@ -32,7 +32,6 @@ pub mod driver;
 pub mod fault;
 pub mod layer;
 pub mod model;
-pub mod offload;
 pub mod schedule;
 pub mod stage;
 pub mod train;
@@ -43,7 +42,7 @@ pub use driver::{
     run_elastic_traced, DriverCfg, DriverOutcome, RecoveryEvent, RecoveryLog, Replanner,
     ShrinkReplanner,
 };
-pub use fault::{DegradePolicy, ExecError, FaultKind, FaultPlan, FaultSite};
+pub use fault::{ExecError, FaultKind, FaultPlan, FaultSite};
 pub use model::{CheckpointCfg, ExecConfig};
 pub use slimpipe_core::{SlicePolicy, Slicing};
 pub use slimpipe_obs as obs;

@@ -7,7 +7,7 @@
 //! `slice * slice_len`. Microbatches may be ragged (per-microbatch sequence
 //! lengths via [`ExecConfig::mb_seqs`]).
 
-use crate::fault::{DegradePolicy, FaultKind, FaultPlan};
+use crate::fault::{FaultKind, FaultPlan};
 use slimpipe_core::{SlicePolicy, Slicing};
 use slimpipe_tensor::attention::HeadCfg;
 use slimpipe_tensor::init::seeded_xavier;
@@ -66,13 +66,7 @@ pub struct ExecConfig {
     /// The field remains only because the benchmark harness names it; the
     /// next benchmark revision removes it.
     pub async_exchange: bool,
-    /// Device activation-stash budget in bytes; stashes beyond it spill to
-    /// host memory (§6.5). `None` disables offloading.
-    pub offload_budget: Option<u64>,
     pub seed: u64,
-    /// What the runtime does about a non-finite loss or an unrecoverable
-    /// exchange rendezvous.
-    pub policy: DegradePolicy,
     /// Deterministic fault-injection schedule (`None` = clean run).
     pub fault_plan: Option<FaultPlan>,
     /// Stuck-rendezvous watchdog per blocking wait, in milliseconds.
@@ -106,9 +100,7 @@ impl ExecConfig {
             vocab_parallel: false,
             exchange: false,
             async_exchange: true,
-            offload_budget: None,
             seed: 7,
-            policy: DegradePolicy::Abort,
             fault_plan: None,
             // Generous defaults: on an unloaded host a healthy rendezvous
             // completes in microseconds; these only fire when a peer is

@@ -9,7 +9,6 @@
 
 use crate::comm::VocabParallel;
 use crate::fault::ExecError;
-use crate::offload::OffloadEngine;
 use crate::layer::{
     layer_backward, layer_forward, AttnExecutor, DkvAccum, KvCache, LayerGrads, LayerParams,
     SliceCache,
@@ -81,8 +80,6 @@ pub struct Stage {
     /// Per-mb: per-layer dK/dV accumulators.
     dkv: HashMap<u32, Vec<DkvAccum>>,
     head_stash: HashMap<(u32, u32), HeadCache>,
-    /// Host offload engine (§6.5), if a budget is configured.
-    pub offload: Option<OffloadEngine>,
     /// Byte-exact activation accounting.
     pub mem: MemCounter,
 }
@@ -115,7 +112,6 @@ impl Stage {
                 (w, g)
             }),
             tokens: HashMap::new(),
-            offload: cfg.offload_budget.map(OffloadEngine::new),
             stash: HashMap::new(),
             kv: HashMap::new(),
             dkv: HashMap::new(),
@@ -184,15 +180,6 @@ impl Stage {
         let stash_bytes: u64 = caches.iter().map(|c| c.bytes()).sum();
         self.mem.alloc(stash_bytes + (kv_after - kv_before));
         self.stash.insert((mb, slice), caches);
-        if let Some(eng) = &mut self.offload {
-            eng.push_key((mb, slice));
-            while self.mem.current() > eng.device_budget {
-                let Some(victim) = eng.pop_oldest_excluding((mb, slice)) else { break };
-                if let Some(spilled) = self.stash.remove(&victim) {
-                    eng.spill(victim, spilled, &self.mem);
-                }
-            }
-        }
 
         if !self.is_last() {
             return Ok(StageOutput::Activation(cur));
@@ -285,12 +272,6 @@ impl Stage {
             d_from_downstream.expect("non-last stage needs downstream gradient")
         };
 
-        if let Some(eng) = &mut self.offload {
-            if let Some(fetched) = eng.fetch((mb, slice), &self.mem) {
-                self.stash.insert((mb, slice), fetched);
-            }
-            eng.note_consumed((mb, slice));
-        }
         let mut caches = self.stash.remove(&(mb, slice)).expect("forward stash missing");
         self.mem.free(caches.iter().map(|c| c.bytes()).sum());
         let hc = self.cfg.head_cfg();
@@ -331,72 +312,6 @@ impl Stage {
             Ok(None)
         } else {
             Ok(Some(d_y))
-        }
-    }
-
-    /// Drop every resource of unit `(mb, slice)` without running any math —
-    /// the skip-and-renormalize path. A poisoned microbatch must not be
-    /// zero-backwarded (0 × NaN is still NaN through the contaminated KV
-    /// cache); it is *drained*: stashes, KV chunks, head caches, offloaded
-    /// buffers, and token ids are released with exact byte accounting, as
-    /// if the unit's backward had retired it.
-    pub fn drain_unit(&mut self, mb: u32, slice: u32) {
-        if let Some(head) = self.head_stash.remove(&(mb, slice)) {
-            self.mem.free(head.bytes());
-        }
-        if let Some(eng) = &mut self.offload {
-            if let Some(fetched) = eng.fetch((mb, slice), &self.mem) {
-                self.stash.insert((mb, slice), fetched);
-            }
-            eng.note_consumed((mb, slice));
-        }
-        if let Some(caches) = self.stash.remove(&(mb, slice)) {
-            self.mem.free(caches.iter().map(|c| c.bytes()).sum());
-            for c in caches {
-                c.recycle();
-            }
-        }
-        if let Some(kv) = self.kv.get_mut(&mb) {
-            let mut freed = 0;
-            for c in kv.iter_mut() {
-                if (slice as usize) < c.chunks.len() {
-                    freed += c.release(slice as usize);
-                }
-            }
-            self.mem.free(freed);
-        }
-        if let Some(dkv) = self.dkv.get_mut(&mb) {
-            for a in dkv.iter_mut() {
-                if (slice as usize) < a.slots.len() {
-                    if let Some((dk, dv)) = a.take(slice as usize) {
-                        self.mem.free(dk.bytes() + dv.bytes());
-                        dk.recycle();
-                        dv.recycle();
-                    }
-                }
-            }
-        }
-        self.tokens.remove(&(mb, slice));
-    }
-
-    /// Rescale every local gradient accumulator. Skip-and-renormalize: after
-    /// dropping `k` of `M` microbatches, surviving gradients (pre-scaled by
-    /// `1/total_tokens`) are multiplied by `total/(total - skipped)` so the
-    /// update is the exact mean over surviving tokens.
-    pub fn scale_grads(&mut self, factor: f32) {
-        for g in &mut self.grads {
-            g.scale(factor);
-        }
-        if let Some((_, g)) = &mut self.embed {
-            g.scale(factor);
-        }
-        if let Some((_, g)) = &mut self.out_proj {
-            g.scale(factor);
-        }
-        if let Some((_, g)) = &mut self.final_norm {
-            for v in g.iter_mut() {
-                *v *= factor;
-            }
         }
     }
 

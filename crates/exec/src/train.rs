@@ -15,11 +15,11 @@
 //! * every cross-stage rendezvous is a [`recv_guarded`] wait: it watches
 //!   the shared abort flag and a watchdog deadline, so the first failure
 //!   anywhere drains the whole pipeline — injected faults never hang a run;
-//! * a non-finite loss degrades per [`DegradePolicy`]: abort with a
-//!   [`ExecError::NonFinite`], or *skip-and-renormalize* — the poisoned
-//!   microbatch is drained (no math runs over contaminated state; `Skip`
-//!   messages propagate the drain upstream) and the surviving gradients and
-//!   loss are rescaled to the exact mean over surviving tokens;
+//! * there is one response to failure: a non-finite loss is a fatal
+//!   [`ExecError::NonFinite`], and exchange trouble that retries cannot
+//!   mend is an [`ExecError::ExchangeTimeout`] / [`ExecError::ServerDied`]
+//!   that [`crate::run_elastic_traced`] heals from the last snapshot — no
+//!   run ever trains on less data than its config names;
 //! * at iteration boundaries the run snapshots to [`CheckpointCfg::path`];
 //!   [`try_resume_pipeline_from_traced`] continues from the snapshot
 //!   **bit-identically** to the uninterrupted run (`tests/faults.rs`).
@@ -41,8 +41,8 @@ use crate::comm::{
     ServerHandle, ServerJob, VocabParallel, VocabShard,
 };
 use crate::fault::{
-    panic_message, recv_guarded, recv_guarded_pumped, DegradePolicy, ExecError, FaultKind,
-    FaultStats, InjectedPanic, Port, RunCtl, ABORT_POLL,
+    panic_message, recv_guarded, recv_guarded_pumped, ExecError, FaultKind, FaultStats,
+    InjectedPanic, Port, RunCtl, ABORT_POLL,
 };
 use crate::layer::{AttnExecutor, LayerGrads, LocalAttn};
 use crate::model::ExecConfig;
@@ -88,8 +88,8 @@ pub struct RunMetrics {
 
 /// Everything a run produces, for comparison and reporting.
 pub struct RunResult {
-    /// Mean loss per iteration (over surviving tokens, when microbatches
-    /// were skipped). A resumed run reports only the iterations it ran.
+    /// Mean loss per iteration over every token of the iteration. A resumed
+    /// run reports only the iterations it ran.
     pub losses: Vec<f64>,
     /// Final-iteration gradients, global layer order.
     pub layer_grads: Vec<LayerGrads>,
@@ -100,9 +100,7 @@ pub struct RunResult {
     pub final_norm_grad: Vec<f32>,
     /// Peak activation bytes per device (stash + KV + head stash).
     pub peak_act_bytes: Vec<u64>,
-    /// Offload traffic per device (0 when no budget configured, §6.5).
-    pub offload_transferred: Vec<u64>,
-    /// Recovery activity: retries, local fallbacks, skipped microbatches.
+    /// Recovery activity: exchange retries.
     pub fault_stats: FaultStats,
     /// Per-stage final `(iteration, mb, slice)` cursor — the last unit each
     /// stage marked in-progress. A unit recovered on retry must advance its
@@ -142,16 +140,9 @@ pub fn make_data(cfg: &ExecConfig) -> Vec<(Vec<u32>, Vec<u32>)> {
         .collect()
 }
 
-/// What travels over a stage boundary for one unit.
-enum ActPayload {
-    /// The boundary activation (forward) or gradient (backward).
-    Act(Tensor),
-    /// Skip-and-renormalize: this unit's microbatch was dropped; drain the
-    /// unit's resources and pass the drain along.
-    Skip,
-}
-
-type ActMsg = (u32, u32, ActPayload);
+/// What travels over a stage boundary for one unit: its `(mb, slice)` and
+/// the boundary activation (forward) or gradient (backward).
+type ActMsg = (u32, u32, Tensor);
 
 /// Outbound half of a stage boundary: the channel is bounded
 /// (double-buffered), `send` never blocks — overflow spills into a FIFO
@@ -343,13 +334,10 @@ impl StageRun {
             // `gemm_packs_per_step()` reads zero once every thread is past
             // its build (asserted in tests/pool_steady_state.rs).
             slimpipe_tensor::matmul::begin_pack_epoch();
-            // Per-microbatch loss and skip flags, indexed by mb so the
-            // iteration loss sums in a fixed order (f64 reassociation would
-            // otherwise leak schedule interleaving into the result).
+            // Per-microbatch loss, indexed by mb so the iteration loss sums
+            // in a fixed order (f64 reassociation would otherwise leak
+            // schedule interleaving into the result).
             let mut mb_loss = vec![0.0f64; m];
-            let mut mb_skipped = vec![false; m];
-            // LocalFallback is sticky for the rest of the iteration.
-            let mut local_only = false;
             for op in &self.ops {
                 let (mb, sl) = (op.mb, op.slice);
                 self.cursor.store(pack_cursor(step, mb, sl), Ordering::Relaxed);
@@ -407,14 +395,12 @@ impl StageRun {
                     map: &maps[mb as usize],
                     ft: FtCtx {
                         plan: self.cfg.fault_plan.as_ref(),
-                        policy: self.cfg.policy,
                         timeout,
                         retries: self.cfg.exchange_retries,
                         ctl: Some(self.ctl.as_ref()),
                         iteration: step,
                         mb,
                         slice: sl,
-                        local_only,
                         reply_faults: matches!(op.kind, PassKind::Forward),
                         rec: Some(&rec),
                     },
@@ -441,16 +427,11 @@ impl StageRun {
                 match op.kind {
                     PassKind::Forward => {
                         let input = if d == 0 {
-                            if is_last && mb_skipped[mb as usize] {
-                                // p == 1: the microbatch is already
-                                // poisoned; its backward op drains.
-                                continue;
-                            }
                             Err(self.data[mb as usize].0[range.clone()].to_vec())
                         } else {
                             let rx =
                                 self.fwd_rx.as_ref().expect("interior stage has fwd input");
-                            let (rmb, rsl, payload) = recv_guarded_pumped(
+                            let (rmb, rsl, mut t) = recv_guarded_pumped(
                                 rx,
                                 &self.ctl,
                                 watchdog,
@@ -461,39 +442,13 @@ impl StageRun {
                                 || pump_outbound(&mut fwd_out, &mut bwd_out, &self.ctl, d),
                             )?;
                             assert_eq!((rmb, rsl), (mb, sl), "fwd order mismatch");
-                            match payload {
-                                ActPayload::Skip => {
-                                    // Upstream already dropped this unit
-                                    // (defensive; skips normally originate
-                                    // at the loss and travel backward).
-                                    mb_skipped[mb as usize] = true;
-                                    mb_loss[mb as usize] = 0.0;
-                                    if let Some(out) = fwd_out.as_mut() {
-                                        out.send(
-                                            (mb, sl, ActPayload::Skip),
-                                            &self.ctl,
-                                            d,
-                                            Port::Forward,
-                                        )?;
-                                    }
-                                    continue;
-                                }
-                                ActPayload::Act(mut t) => {
-                                    if corrupt {
-                                        // Simulated transfer corruption: the
-                                        // unit's activations are poisoned and
-                                        // the NaNs surface at the loss.
-                                        t.fill(f32::NAN);
-                                    }
-                                    if is_last && mb_skipped[mb as usize] {
-                                        // Later slice of an already-poisoned
-                                        // microbatch: drop it unexecuted.
-                                        t.recycle();
-                                        continue;
-                                    }
-                                    Ok(t)
-                                }
+                            if corrupt {
+                                // Simulated transfer corruption: the unit's
+                                // activations are poisoned and the NaNs
+                                // surface at the loss.
+                                t.fill(f32::NAN);
                             }
+                            Ok(t)
                         };
                         let targets =
                             is_last.then(|| self.data[mb as usize].1[range.clone()].to_vec());
@@ -518,17 +473,10 @@ impl StageRun {
                             StageOutput::Activation(act) => {
                                 let out =
                                     fwd_out.as_mut().expect("interior stage has fwd output");
-                                out.send(
-                                    (mb, sl, ActPayload::Act(act)),
-                                    &self.ctl,
-                                    d,
-                                    Port::Forward,
-                                )?;
+                                out.send((mb, sl, act), &self.ctl, d, Port::Forward)?;
                             }
                             StageOutput::Loss(lv) => {
-                                if lv.is_finite() {
-                                    mb_loss[mb as usize] += lv;
-                                } else if self.cfg.policy == DegradePolicy::Abort {
+                                if !lv.is_finite() {
                                     return Err(ExecError::NonFinite {
                                         stage: d,
                                         iteration: step,
@@ -536,38 +484,18 @@ impl StageRun {
                                         slice: sl,
                                         what: "loss".into(),
                                     });
-                                } else if !mb_skipped[mb as usize] {
-                                    // Skip-and-renormalize: poison detected.
-                                    // The unit's state stays resident until
-                                    // its backward op drains it.
-                                    mb_skipped[mb as usize] = true;
-                                    mb_loss[mb as usize] = 0.0;
-                                    self.ctl.skipped_microbatches.fetch_add(1, Ordering::Relaxed);
                                 }
+                                mb_loss[mb as usize] += lv;
                             }
                         }
                     }
                     PassKind::Backward => {
                         let d_in = if is_last {
-                            if mb_skipped[mb as usize] {
-                                // Drain instead of computing: no math may
-                                // run over the contaminated stashes/KV.
-                                stage.drain_unit(mb, sl);
-                                if let Some(out) = bwd_out.as_mut() {
-                                    out.send(
-                                        (mb, sl, ActPayload::Skip),
-                                        &self.ctl,
-                                        d,
-                                        Port::Backward,
-                                    )?;
-                                }
-                                continue;
-                            }
                             None
                         } else {
                             let rx =
                                 self.bwd_rx.as_ref().expect("interior stage has bwd input");
-                            let (rmb, rsl, payload) = recv_guarded_pumped(
+                            let (rmb, rsl, g) = recv_guarded_pumped(
                                 rx,
                                 &self.ctl,
                                 watchdog,
@@ -578,22 +506,7 @@ impl StageRun {
                                 || pump_outbound(&mut fwd_out, &mut bwd_out, &self.ctl, d),
                             )?;
                             assert_eq!((rmb, rsl), (mb, sl), "bwd order mismatch");
-                            match payload {
-                                ActPayload::Skip => {
-                                    mb_skipped[mb as usize] = true;
-                                    stage.drain_unit(mb, sl);
-                                    if let Some(out) = bwd_out.as_mut() {
-                                        out.send(
-                                            (mb, sl, ActPayload::Skip),
-                                            &self.ctl,
-                                            d,
-                                            Port::Backward,
-                                        )?;
-                                    }
-                                    continue;
-                                }
-                                ActPayload::Act(g) => Some(g),
-                            }
+                            Some(g)
                         };
                         let targets =
                             is_last.then(|| self.data[mb as usize].1[range.clone()].to_vec());
@@ -614,20 +527,12 @@ impl StageRun {
                         if let Some(dx) = dx_opt {
                             let out =
                                 bwd_out.as_mut().expect("non-first stage has bwd output");
-                            out.send(
-                                (mb, sl, ActPayload::Act(dx)),
-                                &self.ctl,
-                                d,
-                                Port::Backward,
-                            )?;
+                            out.send((mb, sl, dx), &self.ctl, d, Port::Backward)?;
                         }
                     }
                     PassKind::BackwardWeight => {
                         unreachable!("executor schemes do not split backward")
                     }
-                }
-                if let Some(rt) = &rt_opt {
-                    local_only = rt.ft.local_only;
                 }
             }
             // Drain any still-spilled posts: the iteration boundary is a
@@ -641,45 +546,8 @@ impl StageRun {
                 rec.borrow_mut().push(SpanKind::PostFlush { stage: d }, t0);
             }
             // ---- iteration boundary ----
-            // Skip-and-renormalize: rescale surviving gradients (pre-scaled
-            // by 1/total_tokens) to the exact mean over surviving tokens.
-            // Every stage saw every skipped microbatch's Skip drain, so the
-            // factor is identical pipeline-wide.
-            let mut factor = 1.0f64;
-            let skipped_count = mb_skipped.iter().filter(|&&s| s).count();
-            if skipped_count > 0 {
-                let total = self.cfg.total_tokens();
-                let lost: usize = (0..m).filter(|&mb| mb_skipped[mb]).map(|mb| self.cfg.mb_seq(mb)).sum();
-                if lost >= total {
-                    if is_last {
-                        return Err(ExecError::NonFinite {
-                            stage: d,
-                            iteration: step,
-                            mb: 0,
-                            slice: 0,
-                            what: "all microbatches skipped".into(),
-                        });
-                    }
-                    // Interior stages: everything drained, gradients are
-                    // zero; nothing to rescale. The last stage's error
-                    // aborts the run at the next rendezvous.
-                } else {
-                    factor = total as f64 / (total - lost) as f64;
-                    stage.scale_grads(factor as f32);
-                    if is_last && self.cfg.vocab_parallel {
-                        server_barrier(
-                            &self.servers,
-                            |reply| ServerJob::ScaleGrad { factor: factor as f32, reply },
-                            &self.ctl,
-                            watchdog,
-                            d,
-                        )?;
-                    }
-                }
-            }
             if is_last {
-                let clean: f64 = mb_loss.iter().sum();
-                let _ = self.loss_tx.send(clean * factor);
+                let _ = self.loss_tx.send(mb_loss.iter().sum());
             }
             if step + 1 < self.steps {
                 if self.cfg.vocab_parallel && is_last {
@@ -928,11 +796,10 @@ fn run_from_inner(
         // iterations' worth of units behind the stages' non-blocking post
         // queues, so a stage's legitimate schedule run-ahead (warmup
         // forwards) never waits on the consumer, while the post queue's
-        // spill stays the deadlock-safety net for anything beyond (skip
-        // echoes, a wedged peer). A tighter bound buys no memory — the
-        // spill behind it is unbounded — but costs a wakeup round-trip
-        // per rate-limited message, which serializes the pipeline on few
-        // cores.
+        // spill stays the deadlock-safety net for anything beyond (a wedged
+        // peer). A tighter bound buys no memory — the spill behind it is
+        // unbounded — but costs a wakeup round-trip per rate-limited
+        // message, which serializes the pipeline on few cores.
         let units: usize = (0..cfg.microbatches).map(|mb| cfg.slices_of(mb)).sum();
         let cap = 2 * units.max(1);
         for _ in 0..p.saturating_sub(1) {
@@ -1111,17 +978,6 @@ fn run_from_inner(
     }
 
     let peak_act_bytes: Vec<u64> = stages.iter().map(|s| s.mem.peak()).collect();
-    let offload_transferred: Vec<u64> = stages
-        .iter()
-        .map(|s| {
-            if let Some(eng) = &s.offload {
-                eng.assert_drained();
-                eng.transferred
-            } else {
-                0
-            }
-        })
-        .collect();
     let mut layer_grads = Vec::with_capacity(cfg.layers);
     for st in &mut stages {
         layer_grads.append(&mut st.grads.drain(..).collect());
@@ -1152,8 +1008,6 @@ fn run_from_inner(
     let fault_stats = ctl.stats();
     let posted_sends = ctl.posted_sends.load(Ordering::Relaxed);
     obs_counters::EXCHANGE_RETRIES.add(fault_stats.exchange_retries);
-    obs_counters::LOCAL_FALLBACKS.add(fault_stats.local_fallbacks);
-    obs_counters::SKIPPED_MICROBATCHES.add(fault_stats.skipped_microbatches);
     obs_counters::POSTED_SENDS.add(posted_sends);
     let metrics = run_metrics(cfg, steps - start, trace, &c0, &span_base);
     Ok(RunResult {
@@ -1163,7 +1017,6 @@ fn run_from_inner(
         out_grad,
         final_norm_grad,
         peak_act_bytes,
-        offload_transferred,
         fault_stats,
         final_cursors,
         posted_sends,
@@ -1236,9 +1089,9 @@ pub fn try_resume_pipeline_from_traced(
 }
 
 /// Single-device, unsliced, untraced reference run — the ground truth
-/// every pipeline configuration is verified against. Fault injection,
-/// degradation, and checkpointing are stripped: the reference must stay
-/// the clean baseline even when `cfg` carries a fault plan.
+/// every pipeline configuration is verified against. Fault injection and
+/// checkpointing are stripped: the reference must stay the clean baseline
+/// even when `cfg` carries a fault plan.
 pub fn run_reference(cfg: &ExecConfig, steps: usize, lr: f32) -> RunResult {
     let ref_cfg = ExecConfig {
         stages: 1,
@@ -1247,7 +1100,6 @@ pub fn run_reference(cfg: &ExecConfig, steps: usize, lr: f32) -> RunResult {
         slicing: slimpipe_core::SlicePolicy::Uniform,
         vocab_parallel: false,
         exchange: false,
-        policy: DegradePolicy::Abort,
         fault_plan: None,
         checkpoint: None,
         ..cfg.clone()

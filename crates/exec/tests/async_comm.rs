@@ -8,7 +8,7 @@ use slimpipe_exec::model::ExecConfig;
 use slimpipe_exec::schedule::PipelineKind;
 use slimpipe_exec::train::run_reference;
 use slimpipe_exec::verify::{self, assert_bit_identical};
-use slimpipe_exec::{DegradePolicy, ExecError, FaultKind, FaultPlan, FaultSite};
+use slimpipe_exec::{ExecError, FaultKind, FaultPlan, FaultSite};
 use std::sync::Mutex;
 
 /// `rayon::set_num_threads` is process-global: tests that change the pool
@@ -101,14 +101,14 @@ fn posted_sends_counter_tracks_the_regime() {
     let _g = width_lock();
     let r = verify::run(&exchange_cfg(), PipelineKind::SlimPipe, 1, 0.2).unwrap();
     assert!(r.posted_sends > 0, "run posted no boundary sends (counter stuck at 0)");
-    assert_eq!(r.fault_stats, Default::default(), "clean run degraded");
+    assert_eq!(r.fault_stats, Default::default(), "clean run retried");
 }
 
 // ---- fault matrix with sends in flight ----
 
 /// The fault guarantees hold with sends in flight: reply faults at a
 /// remote site recover bit-identically to the clean run, and a dead
-/// server degrades by policy.
+/// server is a structured failure.
 #[test]
 fn reply_faults_recover_under_both_regimes() {
     let _g = width_lock();
@@ -125,32 +125,24 @@ fn reply_faults_recover_under_both_regimes() {
         assert!(r.fault_stats.exchange_retries >= 1, "{kind:?}: no retry recorded");
         assert_bit_identical(&r, &clean);
     }
-    // Dead server: structured failure under Abort, bit-identical local
-    // recompute under the degrading policies.
+    // Dead server: structured failure.
     let plan = FaultPlan::single(site(0, st, 0, sl), FaultKind::ServerDeath { device: peer });
-    let cfg = ExecConfig { fault_plan: Some(plan.clone()), ..base.clone() };
+    let cfg = ExecConfig { fault_plan: Some(plan), ..base };
     let err = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2)
-        .expect_err("abort policy must surface the dead server");
+        .expect_err("a dead exchange server must fail the run");
     assert!(
         matches!(err, ExecError::ServerDied { .. } | ExecError::ExchangeTimeout { .. }),
         "got {err}"
     );
-    for policy in [DegradePolicy::SkipMicrobatch, DegradePolicy::LocalFallback] {
-        let cfg = ExecConfig { policy, fault_plan: Some(plan.clone()), ..base.clone() };
-        let r = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2)
-            .expect("degrading policy must survive a dead server");
-        assert!(r.fault_stats.local_fallbacks >= 1, "{policy:?}");
-        assert_bit_identical(&r, &clean);
-    }
 }
 
 // ---- retry/backoff accounting ----
 
 /// The count-once contract: a reply that needed resubmission is one
 /// retry, however many resubmissions it took — and a *recovered* retry
-/// leaves no other trace. Exactly one retry, zero fallbacks, zero skips,
-/// bit-identical numbers, and the per-stage completion cursors land on
-/// the same unit as the clean run.
+/// leaves no other trace. Exactly one retry, bit-identical numbers, and
+/// the per-stage completion cursors land on the same unit as the clean
+/// run.
 #[test]
 fn recovered_retry_counts_once_and_leaves_the_cursor_clean() {
     let _g = width_lock();
@@ -168,8 +160,6 @@ fn recovered_retry_counts_once_and_leaves_the_cursor_clean() {
             r.fault_stats.exchange_retries, 1,
             "{kind:?}: one faulted reply must count exactly one retry"
         );
-        assert_eq!(r.fault_stats.local_fallbacks, 0, "{kind:?}: recovery is not degradation");
-        assert_eq!(r.fault_stats.skipped_microbatches, 0, "{kind:?}");
         assert_bit_identical(&r, &clean);
         assert_eq!(
             r.final_cursors, clean.final_cursors,

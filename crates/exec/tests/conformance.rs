@@ -68,24 +68,15 @@ fn every_pipeline_kind_matches_the_reference() {
     }
 }
 
-/// The feature configs the paper leans on: vocabulary parallelism, context
-/// exchange, activation offloading — alone and combined.
+/// The feature configs the paper leans on: vocabulary parallelism and
+/// context exchange — alone and combined.
 #[test]
 fn feature_configs_match_the_reference() {
     let base = ExecConfig { stages: 2, slices: 8, microbatches: 2, ..ExecConfig::small() };
     let configs = [
         ("vocab_parallel", ExecConfig { vocab_parallel: true, ..base.clone() }),
         ("exchange", ExecConfig { exchange: true, ..base.clone() }),
-        ("offload", ExecConfig { offload_budget: Some(80_000), ..base.clone() }),
-        (
-            "everything_on",
-            ExecConfig {
-                vocab_parallel: true,
-                exchange: true,
-                offload_budget: Some(80_000),
-                ..base
-            },
-        ),
+        ("everything_on", ExecConfig { vocab_parallel: true, exchange: true, ..base }),
     ];
     for (name, cfg) in configs {
         let want = run_reference(&cfg, 2, 0.2);

@@ -1,9 +1,8 @@
 //! Fault-injection matrix: every fault class from [`FaultKind`], crossed
-//! with the degradation policies and worker-pool widths, must end in one
-//! of exactly two ways — a structured [`ExecError`] naming the failed
-//! unit, or a completed run whose numbers are *bit-identical* to the
-//! clean run. Never a hang, never a process abort, never a silently
-//! different result.
+//! with worker-pool widths, must end in one of exactly two ways — a
+//! structured [`ExecError`] naming the failed unit, or a completed run
+//! whose numbers are *bit-identical* to the clean run. Never a hang, never
+//! a process abort, never a silently different result.
 //!
 //! The checkpoint/restore tests assert the strongest form of the recovery
 //! guarantee: a run killed mid-training and resumed from its snapshot
@@ -16,7 +15,7 @@ use slimpipe_exec::schedule::PipelineKind;
 use slimpipe_exec::train::{try_resume_pipeline_from_traced, RunResult};
 use slimpipe_exec::verify::{self, assert_bit_identical};
 use slimpipe_exec::{
-    CheckpointState, DegradePolicy, ExecError, FaultKind, FaultPlan, FaultSite, TraceSession,
+    CheckpointState, ExecError, FaultKind, FaultPlan, FaultSite, TraceSession,
 };
 use std::sync::{Mutex, Once};
 use std::time::{Duration, Instant};
@@ -80,22 +79,19 @@ fn stage_panic_is_contained_and_names_the_unit() {
     quiet_injected_panics();
     let _g = width_lock();
     for threads in [1usize, 4] {
-        for policy in [DegradePolicy::Abort, DegradePolicy::SkipMicrobatch] {
-            rayon::set_num_threads(threads);
-            let cfg = ExecConfig {
-                policy,
-                fault_plan: Some(FaultPlan::single(site(0, 1, 1, 2), FaultKind::StagePanic)),
-                ..fast_cfg()
-            };
-            let err = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2)
-                .expect_err("injected panic must fail the run");
-            rayon::set_num_threads(0);
-            match err {
-                ExecError::StagePanic { stage: 1, iteration: 0, mb: 1, slice: 2, ref msg } => {
-                    assert!(msg.contains("injected"), "unexpected message: {msg}")
-                }
-                other => panic!("threads={threads}: expected StagePanic(1,0,1,2), got {other}"),
+        rayon::set_num_threads(threads);
+        let cfg = ExecConfig {
+            fault_plan: Some(FaultPlan::single(site(0, 1, 1, 2), FaultKind::StagePanic)),
+            ..fast_cfg()
+        };
+        let err = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2)
+            .expect_err("injected panic must fail the run");
+        rayon::set_num_threads(0);
+        match err {
+            ExecError::StagePanic { stage: 1, iteration: 0, mb: 1, slice: 2, ref msg } => {
+                assert!(msg.contains("injected"), "unexpected message: {msg}")
             }
+            other => panic!("threads={threads}: expected StagePanic(1,0,1,2), got {other}"),
         }
     }
 }
@@ -131,36 +127,23 @@ fn remote_site(cfg: &ExecConfig) -> (usize, u32, usize) {
 }
 
 #[test]
-fn server_death_aborts_or_falls_back_by_policy() {
+fn server_death_is_a_structured_error() {
     let _g = width_lock();
     let base = ExecConfig { stages: 2, slices: 8, exchange: true, ..fast_cfg() };
     let (st, sl, peer) = remote_site(&base);
     let plan = FaultPlan::single(site(0, st, 0, sl), FaultKind::ServerDeath { device: peer });
-    let clean = verify::run(&base, PipelineKind::SlimPipe, 1, 0.2).unwrap();
     for threads in [1usize, 4] {
         rayon::set_num_threads(threads);
-        // Abort: the dead server is a structured failure.
+        // The dead server is a structured failure (the elastic driver,
+        // not the run, heals it).
         let cfg = ExecConfig { fault_plan: Some(plan.clone()), ..base.clone() };
         let err = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2)
-            .expect_err("abort policy must surface the dead server");
+            .expect_err("a dead exchange server must fail the run");
+        rayon::set_num_threads(0);
         assert!(
             matches!(err, ExecError::ServerDied { .. } | ExecError::ExchangeTimeout { .. }),
             "threads={threads}: got {err}"
         );
-        // Degrading policies: the chunk is recomputed locally, and since
-        // exchange is an exact optimization the run's numbers match the
-        // clean run bit for bit.
-        for policy in [DegradePolicy::SkipMicrobatch, DegradePolicy::LocalFallback] {
-            let cfg = ExecConfig { policy, fault_plan: Some(plan.clone()), ..base.clone() };
-            let r = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2)
-                .expect("degrading policy must survive a dead server");
-            assert!(
-                r.fault_stats.local_fallbacks >= 1,
-                "threads={threads}, {policy:?}: no fallback recorded"
-            );
-            assert_bit_identical(&r, &clean);
-        }
-        rayon::set_num_threads(0);
     }
 }
 
@@ -176,8 +159,8 @@ fn dropped_reply_recovers_via_retry() {
             fault_plan: Some(FaultPlan::single(site(0, st, 0, sl), FaultKind::DropReply)),
             ..base.clone()
         };
-        // Retry is recovery, not degradation: even the abort policy rides
-        // through a lost reply.
+        // Retry is recovery, not failure: the run rides through a lost
+        // reply.
         let r = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2)
             .expect("a dropped reply must be retried, not fatal");
         rayon::set_num_threads(0);
@@ -205,7 +188,7 @@ fn delayed_reply_recovers_within_backoff() {
     assert_bit_identical(&r, &clean);
 }
 
-// ---- non-finite degradation ----
+// ---- non-finite loss ----
 
 #[test]
 fn corrupt_activation_policy_matrix() {
@@ -213,49 +196,19 @@ fn corrupt_activation_policy_matrix() {
     let plan = FaultPlan::single(site(0, 1, 0, 1), FaultKind::CorruptActivation);
     for threads in [1usize, 4] {
         rayon::set_num_threads(threads);
-        // Abort: poison is detected at the loss and named.
+        // Poison is detected at the loss and named; a non-finite loss is
+        // always fatal.
         let cfg = ExecConfig { fault_plan: Some(plan.clone()), ..fast_cfg() };
         let err = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2)
-            .expect_err("NaN loss under abort policy must fail");
+            .expect_err("NaN loss must fail the run");
+        rayon::set_num_threads(0);
         match err {
             ExecError::NonFinite { stage: 1, iteration: 0, mb: 0, ref what, .. } => {
                 assert_eq!(what, "loss")
             }
             other => panic!("threads={threads}: expected NonFinite, got {other}"),
         }
-        // Skip-and-renormalize (LocalFallback degrades NaNs the same way):
-        // the poisoned microbatch is dropped, the run completes finite.
-        for policy in [DegradePolicy::SkipMicrobatch, DegradePolicy::LocalFallback] {
-            let cfg = ExecConfig { policy, fault_plan: Some(plan.clone()), ..fast_cfg() };
-            let r = verify::run(&cfg, PipelineKind::SlimPipe, 2, 0.2)
-                .expect("skip policy must survive a poisoned microbatch");
-            assert_eq!(r.fault_stats.skipped_microbatches, 1, "threads={threads}");
-            assert_eq!(r.losses.len(), 2);
-            assert!(r.losses.iter().all(|l| l.is_finite()), "losses: {:?}", r.losses);
-            assert!(
-                r.layer_grads
-                    .iter()
-                    .flat_map(|g| g.tensors())
-                    .all(|(_, t)| t.as_slice().iter().all(|v| v.is_finite())),
-                "threads={threads}: non-finite gradient leaked through the skip"
-            );
-        }
-        rayon::set_num_threads(0);
     }
-}
-
-#[test]
-fn skip_and_renormalize_is_deterministic() {
-    let _g = width_lock();
-    let cfg = ExecConfig {
-        policy: DegradePolicy::SkipMicrobatch,
-        fault_plan: Some(FaultPlan::single(site(0, 1, 1, 0), FaultKind::CorruptActivation)),
-        ..fast_cfg()
-    };
-    let a = verify::run(&cfg, PipelineKind::SlimPipe, 2, 0.2).unwrap();
-    let b = verify::run(&cfg, PipelineKind::SlimPipe, 2, 0.2).unwrap();
-    assert_eq!(a.fault_stats, b.fault_stats);
-    assert_bit_identical(&a, &b);
 }
 
 // ---- watchdog ----
@@ -292,28 +245,18 @@ fn stalled_stage_trips_the_peer_watchdog() {
 #[test]
 fn vocab_server_death_is_a_structured_error() {
     let _g = width_lock();
-    // Vocabulary shards have no local fallback (the weights live in the
-    // server): death is fatal under every policy.
-    for policy in [DegradePolicy::Abort, DegradePolicy::LocalFallback] {
-        let cfg = ExecConfig {
-            vocab_parallel: true,
-            policy,
-            fault_plan: Some(FaultPlan::single(
-                site(0, 1, 0, 0),
-                FaultKind::ServerDeath { device: 0 },
-            )),
-            ..fast_cfg()
-        };
-        let err = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2)
-            .expect_err("vocab shard death must fail the run");
-        assert!(
-            matches!(
-                err,
-                ExecError::ServerDied { device: 0, .. } | ExecError::RendezvousStuck { .. }
-            ),
-            "{policy:?}: got {err}"
-        );
-    }
+    // The shard's weights live in the server: its death fails the run.
+    let cfg = ExecConfig {
+        vocab_parallel: true,
+        fault_plan: Some(FaultPlan::single(site(0, 1, 0, 0), FaultKind::ServerDeath { device: 0 })),
+        ..fast_cfg()
+    };
+    let err = verify::run(&cfg, PipelineKind::SlimPipe, 1, 0.2)
+        .expect_err("vocab shard death must fail the run");
+    assert!(
+        matches!(err, ExecError::ServerDied { device: 0, .. } | ExecError::RendezvousStuck { .. }),
+        "got {err}"
+    );
 }
 
 // ---- checkpoint / restore ----

@@ -2,7 +2,7 @@
 //!
 //! Everything the simulator and the hybrid-parallelism planner need to know
 //! about a model, derived from first principles and calibrated against the
-//! anchors the paper states explicitly (DESIGN.md §7):
+//! anchors the paper states explicitly (README, "Paper experiments"):
 //!
 //! * the model zoo of Table 3 (parameter counts verified against the paper),
 //! * FLOP counts per operator, with exact *attended-pair* accounting for

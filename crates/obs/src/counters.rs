@@ -68,8 +68,6 @@ pub static POOL_THREAD_SPAWNS: Counter = Counter::new();
 // the end of each run.
 pub static POSTED_SENDS: Counter = Counter::new();
 pub static EXCHANGE_RETRIES: Counter = Counter::new();
-pub static LOCAL_FALLBACKS: Counter = Counter::new();
-pub static SKIPPED_MICROBATCHES: Counter = Counter::new();
 // Guarded-receive watchdog timeouts that woke only to re-check liveness.
 pub static WATCHDOG_WAKEUPS: Counter = Counter::new();
 // Checkpoint segments saved and elastic-driver recoveries completed.
@@ -89,8 +87,6 @@ pub struct CounterSnapshot {
     pub pool_thread_spawns: u64,
     pub posted_sends: u64,
     pub exchange_retries: u64,
-    pub local_fallbacks: u64,
-    pub skipped_microbatches: u64,
     pub watchdog_wakeups: u64,
     pub ckpt_saves: u64,
     pub recoveries: u64,
@@ -108,8 +104,6 @@ pub fn snapshot() -> CounterSnapshot {
         pool_thread_spawns: POOL_THREAD_SPAWNS.get(),
         posted_sends: POSTED_SENDS.get(),
         exchange_retries: EXCHANGE_RETRIES.get(),
-        local_fallbacks: LOCAL_FALLBACKS.get(),
-        skipped_microbatches: SKIPPED_MICROBATCHES.get(),
         watchdog_wakeups: WATCHDOG_WAKEUPS.get(),
         ckpt_saves: CKPT_SAVES.get(),
         recoveries: RECOVERIES.get(),
@@ -132,10 +126,6 @@ impl CounterSnapshot {
                 .saturating_sub(earlier.pool_thread_spawns),
             posted_sends: self.posted_sends.saturating_sub(earlier.posted_sends),
             exchange_retries: self.exchange_retries.saturating_sub(earlier.exchange_retries),
-            local_fallbacks: self.local_fallbacks.saturating_sub(earlier.local_fallbacks),
-            skipped_microbatches: self
-                .skipped_microbatches
-                .saturating_sub(earlier.skipped_microbatches),
             watchdog_wakeups: self.watchdog_wakeups.saturating_sub(earlier.watchdog_wakeups),
             ckpt_saves: self.ckpt_saves.saturating_sub(earlier.ckpt_saves),
             recoveries: self.recoveries.saturating_sub(earlier.recoveries),
@@ -144,7 +134,7 @@ impl CounterSnapshot {
     }
 
     /// `(name, value)` rows in registry order, for table printing.
-    pub fn rows(&self) -> [(&'static str, u64); 14] {
+    pub fn rows(&self) -> [(&'static str, u64); 12] {
         [
             ("pool_hits", self.pool_hits),
             ("pool_misses", self.pool_misses),
@@ -154,8 +144,6 @@ impl CounterSnapshot {
             ("pool_thread_spawns", self.pool_thread_spawns),
             ("posted_sends", self.posted_sends),
             ("exchange_retries", self.exchange_retries),
-            ("local_fallbacks", self.local_fallbacks),
-            ("skipped_microbatches", self.skipped_microbatches),
             ("watchdog_wakeups", self.watchdog_wakeups),
             ("ckpt_saves", self.ckpt_saves),
             ("recoveries", self.recoveries),
@@ -210,19 +198,17 @@ mod tests {
             pool_thread_spawns: 6,
             posted_sends: 7,
             exchange_retries: 8,
-            local_fallbacks: 9,
-            skipped_microbatches: 10,
-            watchdog_wakeups: 11,
-            ckpt_saves: 12,
-            recoveries: 13,
-            spans_dropped: 14,
+            watchdog_wakeups: 9,
+            ckpt_saves: 10,
+            recoveries: 11,
+            spans_dropped: 12,
         };
         let rows = snap.rows();
         let sum: u64 = rows.iter().map(|(_, v)| v).sum();
-        assert_eq!(sum, (1..=14).sum::<u64>());
+        assert_eq!(sum, (1..=12).sum::<u64>());
         let mut names: Vec<_> = rows.iter().map(|(n, _)| *n).collect();
         names.sort_unstable();
         names.dedup();
-        assert_eq!(names.len(), 14, "duplicate row name");
+        assert_eq!(names.len(), 12, "duplicate row name");
     }
 }

@@ -88,9 +88,8 @@ fn is_compute(s: &Span) -> bool {
 }
 
 /// Compare a traced executor run of `cfg` against the calibrated
-/// simulation of the same config. `report` must come from a *clean* traced
-/// run (skipped microbatches break the one-span-per-op alignment), with at
-/// least one full iteration recorded per stage.
+/// simulation of the same config. `report` must come from a completed
+/// traced run, with at least one full iteration recorded per stage.
 pub fn compare_run(
     cfg: &ExecConfig,
     profile: &CostProfile,

@@ -15,7 +15,9 @@ use slimpipe_exec::{
     run_elastic_traced, CheckpointCfg, CheckpointState, DriverCfg, ExecConfig, ExecError,
     FaultKind, FaultPlan, FaultSite, TraceSession,
 };
-use slimpipe_planner::{recovery_replanner, reference_profile, replan_for_stages, PlanError};
+use slimpipe_planner::{
+    recovery_replanner, reference_profile, replan_for_stages, shape_of, CostProfile, PlanError,
+};
 use std::sync::Once;
 
 /// Injected panics are expected; keep them out of the test output.
@@ -47,41 +49,89 @@ fn clean_ckpt_files(path: &std::path::Path) {
     }
 }
 
-/// The tentpole loop, planner edition: stage 1 of 2 panics at iteration 3,
-/// the calibrated search re-plans the job onto the single survivor (with
-/// the degraded link priced and the slicing re-derived), the driver
-/// restores the iteration-2 snapshot, and the finished weights are
-/// bit-identical to a clean resume of the re-planned config from that same
-/// snapshot.
+/// The tentpole loop, planner edition: stage 1 of 2 panics mid-job, the
+/// calibrated search re-plans the job onto the single survivor (with the
+/// degraded link priced and the slicing re-derived), the driver restores
+/// the newest snapshot, and the finished weights are bit-identical to a
+/// clean resume of the re-planned config from that same snapshot.
+///
+/// Two inputs: the small config (panic at iteration 3, snapshots every 2)
+/// and the benchmark's `elastic_job` shape at `seq / 8` — exchange and
+/// vocabulary parallelism on, 12 iterations, snapshots every 3 keeping 2,
+/// panic at `(7, 1, 0, 1)`. Both re-plan with the reference coefficients
+/// (labelled with the config's shape), so the searched plan is the same
+/// on every host.
 #[test]
 fn planner_replanner_recovers_bit_identically() {
     quiet_injected_panics();
-    let path = unique_path("tentpole");
-    clean_ckpt_files(&path);
-    let cfg = ExecConfig {
-        checkpoint: Some(CheckpointCfg { every: 2, path: path.clone(), keep_last: 0 }),
+    let small = ExecConfig {
         fault_plan: Some(FaultPlan::single(site(3, 1, 0, 1), FaultKind::StagePanic)),
         ..ExecConfig::small()
     };
-    let mut replanner = recovery_replanner(reference_profile(), None);
+    recovers_bit_identically("tentpole", small, 2, 0, 6, 0.2, 2);
+    let elastic_job = ExecConfig {
+        layers: 4,
+        heads: 8,
+        kv_heads: 2,
+        head_dim: 8,
+        ffn: 192,
+        vocab: 1024,
+        seq: 128,
+        slices: 8,
+        stages: 2,
+        microbatches: 2,
+        exchange: true,
+        vocab_parallel: true,
+        fault_plan: Some(FaultPlan::single(site(7, 1, 0, 1), FaultKind::StagePanic)),
+        ..ExecConfig::small()
+    };
+    recovers_bit_identically("elastic_job", elastic_job, 3, 2, 12, 0.05, 6);
+}
+
+/// Run `cfg` (which carries one recoverable fault) as a supervised job
+/// with snapshots every `every` iterations, and assert the recovery
+/// contract: exactly one event 2→1 restoring the snapshot at
+/// `resumed_from`, a searched (not merely shrunk) slicing, and results
+/// bit-identical to a clean resume from that snapshot.
+fn recovers_bit_identically(
+    tag: &str,
+    cfg: ExecConfig,
+    every: usize,
+    keep_last: usize,
+    steps: usize,
+    lr: f32,
+    resumed_from: usize,
+) {
+    let path = unique_path(tag);
+    clean_ckpt_files(&path);
+    let cfg = ExecConfig {
+        checkpoint: Some(CheckpointCfg { every, path: path.clone(), keep_last }),
+        ..cfg
+    };
+    let profile = CostProfile { shape: shape_of(&cfg), ..reference_profile() };
+    let mut replanner = recovery_replanner(profile, None);
     let trace = TraceSession::from_env().0;
-    let outcome = run_elastic_traced(&cfg, &DriverCfg::default(), 6, 0.2, &mut replanner, &trace)
-        .expect("recoverable fault must heal");
-    assert_eq!(outcome.log.events.len(), 1, "exactly one recovery:\n{}", outcome.log);
+    let outcome = run_elastic_traced(&cfg, &DriverCfg::default(), steps, lr, &mut replanner, &trace)
+        .unwrap_or_else(|e| panic!("{tag}: recoverable fault must heal: {e}"));
+    assert_eq!(outcome.log.events.len(), 1, "{tag}: exactly one recovery:\n{}", outcome.log);
     let ev = &outcome.log.events[0];
-    assert_eq!((ev.from_stages, ev.to_stages), (2, 1));
-    assert_eq!(ev.resumed_from, 2, "snapshot from iteration 2 is the restore point");
-    assert_eq!(outcome.final_config.stages, 1);
-    assert_eq!(outcome.final_config.slicing.tag(), "planned", "search output, not a bare shrink");
+    assert_eq!((ev.from_stages, ev.to_stages), (2, 1), "{tag}");
+    assert_eq!(ev.resumed_from, resumed_from, "{tag}: newest snapshot is the restore point");
+    assert_eq!(outcome.final_config.stages, 1, "{tag}");
+    assert_eq!(
+        outcome.final_config.slicing.tag(),
+        "planned",
+        "{tag}: search output, not a bare shrink"
+    );
 
     // Clean twin: resume the re-planned config (faults stripped) from the
     // same 2-stage snapshot the driver restored.
     let clean_cfg = ExecConfig { fault_plan: None, ..outcome.final_config.clone() };
-    let snap = CheckpointState::load(&snapshot_path(&path, 2), &clean_cfg)
-        .expect("the 2-stage snapshot must still be loadable");
+    let snap = CheckpointState::load(&snapshot_path(&path, resumed_from as u64), &clean_cfg)
+        .unwrap_or_else(|e| panic!("{tag}: the 2-stage snapshot must still be loadable: {e}"));
     let kind = PipelineKind::SlimPipe;
-    let want = try_resume_pipeline_from_traced(&clean_cfg, kind, 6, 0.2, snap, &trace)
-        .expect("clean resume");
+    let want = try_resume_pipeline_from_traced(&clean_cfg, kind, steps, lr, snap, &trace)
+        .unwrap_or_else(|e| panic!("{tag}: clean resume: {e}"));
     assert_bit_identical(&outcome.result, &want);
     clean_ckpt_files(&path);
 }

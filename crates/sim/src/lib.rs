@@ -2,12 +2,12 @@
 //! model and cluster cost models and reports makespan, per-device busy
 //! time, bubble fraction, and peak memory.
 //!
-//! This is the stand-in for the paper's 128–512-GPU testbed (DESIGN.md §1):
-//! the *schedules* are exactly the ones the systems would run, the costs
-//! come from one shared FLOPs/bytes model, and every scheme flows through
-//! the same engine — so relative comparisons (scheme ordering, crossover
-//! points, OOM boundaries) are preserved even though absolute seconds are
-//! synthetic.
+//! This is the stand-in for the paper's 128–512-GPU testbed (README,
+//! "Paper experiments"): the *schedules* are exactly the ones the systems
+//! would run, the costs come from one shared FLOPs/bytes model, and every
+//! scheme flows through the same engine — so relative comparisons (scheme
+//! ordering, crossover points, OOM boundaries) are preserved even though
+//! absolute seconds are synthetic.
 //!
 //! [`Schedule`]: slimpipe_sched::Schedule
 

@@ -1,7 +1,7 @@
 //! Umbrella crate re-exporting the full SlimPipe reproduction workspace.
 //!
-//! See `README.md` for the architecture overview and `DESIGN.md` for the
-//! system inventory and per-experiment index.
+//! See the README's "Workspace layout" section for the crate inventory and
+//! its "Paper experiments" section for the per-experiment index.
 
 pub use slimpipe_cluster as cluster;
 pub use slimpipe_core as core;
